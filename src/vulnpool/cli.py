@@ -8,6 +8,7 @@ error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -25,43 +26,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# config keys whose flag is not the key itself; every other key K is --K with dashes
+_SHORT_FLAGS = {
+    "prompt_len": "lp",
+    "lam": "lambda",
+    "top_k": "topk",
+    "matrices_per_language": "mpl",
+    "n_layers": "layers",
+    "n_heads": "heads",
+    "n_per_language": "n",
+}
+
+
 def _add_config_flags(p: _Parser):
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--data", help="input records file or preprocessed directory")
-    p.add_argument("--out", help="output file or directory")
-    p.add_argument("--mode", choices=("pool_query", "pool_masked", "backbone_only"))
-    p.add_argument("--lp", type=int, dest="prompt_len")
-    p.add_argument("--lambda", type=float, dest="lam")
-    p.add_argument("--topk", type=int, dest="top_k")
-    p.add_argument("--mpl", type=int, dest="matrices_per_language")
-    p.add_argument("--pool-size", type=int, dest="pool_size")
-    p.add_argument("--query-from", choices=("embed_mean", "embed_cls"), dest="query_from")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--max-tokens", type=int, dest="max_tokens")
-    p.add_argument("--vocab-size", type=int, dest="vocab_size")
-    p.add_argument("--layers", type=int, dest="n_layers")
-    p.add_argument("--heads", type=int, dest="n_heads")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--d-ffn", type=int, dest="d_ffn")
-    p.add_argument("--ratios")
-    p.add_argument("--n", type=int, dest="n_per_language")
-    p.add_argument("--vuln-rate", type=float, dest="vuln_rate")
-    p.add_argument("--vocab", help="vocabulary file")
-
-
-_CONFIG_KEYS = (
-    "seed", "data", "out", "mode", "prompt_len", "lam", "top_k", "matrices_per_language",
-    "pool_size", "query_from", "epochs", "batch_size", "lr", "max_tokens", "vocab_size",
-    "n_layers", "n_heads", "d_model", "d_ffn", "ratios", "n_per_language", "vuln_rate",
-    "vocab",
-)
+    for f in dataclasses.fields(RunConfig):
+        flag = "--" + _SHORT_FLAGS.get(f.name, f.name).replace("_", "-")
+        p.add_argument(flag, dest=f.name, metavar="VALUE",
+                       help=f"config key {f.name} (default {f.default})")
 
 
 def _run_config(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     return build_run_config(args.config, overrides)
 
 
@@ -176,17 +162,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_reports(run_dir, report, predictions, samples):
+def _write_reports(run_dir, report, predictions, samples) -> list:
+    """Write metrics.jsonl and metrics.txt; return the per-language and
+    per-CWE breakdowns they hold."""
+    labels = [s.label for s in samples]
+    breakdowns = [ev.breakdown(predictions, labels, samples, by=by) for by in ("language", "cwe")]
     with open(os.path.join(run_dir, "metrics.jsonl"), "w", encoding="utf-8") as f:
         f.write(json.dumps({"scope": "overall", **report.to_record()}, sort_keys=True) + "\n")
-        for by in ("language", "cwe"):
-            bd = ev.breakdown(predictions, [s.label for s in samples], samples, by=by)
-            f.write(json.dumps({"scope": by, **bd.to_record()}, sort_keys=True) + "\n")
+        for bd in breakdowns:
+            f.write(json.dumps({"scope": bd.by, **bd.to_record()}, sort_keys=True) + "\n")
     with open(os.path.join(run_dir, "metrics.txt"), "w", encoding="utf-8") as f:
         f.write(ev.render_metrics(report) + "\n\n")
-        for by in ("language", "cwe"):
-            bd = ev.breakdown(predictions, [s.label for s in samples], samples, by=by)
+        for bd in breakdowns:
             f.write(ev.render_breakdown(bd) + "\n\n")
+    return breakdowns
 
 
 def cmd_eval(args) -> int:
@@ -196,10 +185,9 @@ def cmd_eval(args) -> int:
     split, vocab = _load_corpus_dir(cfg)
     model, _, _ = trainer.load_checkpoint(os.path.join(run_dir, "best.ckpt"), vocab)
     report, predictions = ev.evaluate_model(model, split.test)
-    _write_reports(run_dir, report, predictions, split.test)
+    breakdowns = _write_reports(run_dir, report, predictions, split.test)
     print(ev.render_metrics(report))
-    for by in ("language", "cwe"):
-        bd = ev.breakdown(predictions, [s.label for s in split.test], split.test, by=by)
+    for bd in breakdowns:
         print()
         print(ev.render_breakdown(bd))
     return 0

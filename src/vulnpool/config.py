@@ -1,20 +1,24 @@
 """Merged run configuration: file values, command-line overrides, defaults.
 
-Plain-text key = value files; a flag beats the file, the file beats the
-default. Relative data paths resolve against the VULNPOOL_DATA environment
-variable when it is set.
+Every run setting is one RunConfig field; its type hint drives how file
+values and flags are parsed. Plain-text key = value files; a flag beats the
+file, the file beats the default. Relative data paths resolve against the
+VULNPOOL_DATA environment variable when it is set.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+import typing
 from dataclasses import dataclass
 
 from .corpus import LANGUAGES
 from .encoder import EncoderConfig
-from .model import MODES, ModelConfig, QUERY_SOURCES, VulnPoolModel
+from .model import ModelConfig, VulnPoolModel
 from .tokenizer import Vocabulary
+from .trainer import TrainConfig
 
 DATA_ROOT_ENV = "VULNPOOL_DATA"
 
@@ -74,21 +78,23 @@ class RunConfig:
         return self.max_tokens + self.top_k * self.prompt_len
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.query_from not in QUERY_SOURCES:
-            raise ConfigError(f"query_from must be one of {QUERY_SOURCES}")
-        if not 1 <= self.prompt_len <= 64:
-            raise ConfigError(f"prompt_len must lie in [1, 64], got {self.prompt_len}")
-        size = self.effective_pool_size()
-        if not 1 <= size <= 64:
-            raise ConfigError(f"pool_size must lie in [1, 64], got {size}")
-        if self.top_k > size:
-            raise ConfigError(f"top_k {self.top_k} exceeds pool size {size}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        """Check every setting; raise ConfigError naming the first bad one.
+
+        Each check lives once: the component configs own the checks on their
+        own fields, and this pass adds only what no component owns."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            parts = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in parts):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name, value in (("prompt_len", self.prompt_len),
+                            ("pool_size", self.effective_pool_size())):
+            if value > 64:
+                raise ConfigError(f"{name} must be <= 64, got {value}")
+        try:
+            self.model_config(), self.encoder_config(), self.train_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ConfigError(f"ratios must be three values summing to 1, got {self.ratios}")
         needed = self.max_tokens + self.top_k * self.prompt_len
@@ -97,28 +103,43 @@ class RunConfig:
                 f"max_positions {self.effective_max_positions()} < max_tokens + "
                 f"top_k * prompt_len = {needed}"
             )
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ConfigError("epochs must be >= 0, batch_size >= 1, lr >= 0")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         return self
 
-    def with_axis(self, axis: str, value) -> "RunConfig":
-        if axis == "lambda":
-            return dataclasses.replace(self, lam=float(value))
-        if axis == "lp":
-            return dataclasses.replace(self, prompt_len=int(value))
-        if axis == "topk":
-            return dataclasses.replace(self, top_k=int(value))
-        if axis == "mpl":
-            return dataclasses.replace(
-                self, matrices_per_language=int(value), pool_size=None
-            )
-        if axis == "mode":
-            return dataclasses.replace(self, mode=str(value))
-        raise ConfigError(f"unknown sweep axis {axis!r}")
+    def model_config(self) -> ModelConfig:
+        return ModelConfig(
+            mode=self.mode,
+            lam=self.lam,
+            top_k=self.top_k,
+            prompt_len=self.prompt_len,
+            pool_size=self.effective_pool_size(),
+            matrices_per_language=self.matrices_per_language,
+            query_from=self.query_from,
+            max_tokens=self.max_tokens,
+        )
+
+    def encoder_config(self) -> EncoderConfig:
+        return EncoderConfig(
+            n_layers=self.n_layers,
+            n_heads=self.n_heads,
+            d_model=self.d_model,
+            d_ffn=self.d_ffn,
+            max_positions=self.effective_max_positions(),
+            dropout_rate=self.dropout,
+        )
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            beta1=self.beta1,
+            beta2=self.beta2,
+            eps=self.eps,
+            seed=self.seed,
+            grad_clip=self.grad_clip,
+        )
 
     def resolve_path(self, path):
         if path is None:
@@ -138,38 +159,29 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-_INT_FIELDS = {
-    "seed", "vocab_size", "max_tokens", "n_layers", "n_heads", "d_model", "d_ffn",
-    "max_positions", "prompt_len", "pool_size", "top_k", "matrices_per_language",
-    "epochs", "batch_size", "n_per_language",
-}
-_FLOAT_FIELDS = {"dropout", "lam", "lr", "beta1", "beta2", "eps", "grad_clip", "vuln_rate"}
-_OPTIONAL_FIELDS = {"max_positions", "pool_size", "grad_clip", "data", "out", "vocab"}
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _parse_value(key: str, raw):
+    """Convert a config-file or flag string to the type RunConfig declares for key."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown config key {key!r}")
-    if isinstance(raw, str):
-        raw = raw.strip()
-        if raw.lower() in ("none", "") and key in _OPTIONAL_FIELDS:
+    if not isinstance(raw, str):
+        return raw
+    raw = raw.strip()
+    kind = _FIELD_TYPES[key]
+    options = typing.get_args(kind)
+    if type(None) in options:
+        if raw.lower() in ("none", ""):
             return None
-        if key == "ratios":
-            parts = [p for p in raw.replace(",", " ").split() if p]
-            try:
-                return tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError(f"ratios: cannot parse {raw!r}") from None
-        try:
-            if key in _INT_FIELDS:
-                return int(raw)
-            if key in _FLOAT_FIELDS:
-                return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: cannot parse {raw!r}") from None
-    return raw
+        (kind,) = (t for t in options if t is not type(None))
+    try:
+        if typing.get_origin(kind) is tuple:
+            item = typing.get_args(kind)[0]
+            return tuple(item(p) for p in raw.replace(",", " ").split())
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse {raw!r}") from None
 
 
 def load_config_file(path) -> dict:
@@ -207,37 +219,9 @@ def build_run_config(file_path=None, overrides: dict | None = None) -> RunConfig
 
 def build_model(run_cfg: RunConfig, vocab: Vocabulary, seed: int | None = None) -> VulnPoolModel:
     run_cfg.validate()
-    model_cfg = ModelConfig(
-        mode=run_cfg.mode,
-        lam=run_cfg.lam,
-        top_k=run_cfg.top_k,
-        prompt_len=run_cfg.prompt_len,
-        pool_size=run_cfg.effective_pool_size(),
-        matrices_per_language=run_cfg.matrices_per_language,
-        query_from=run_cfg.query_from,
-        max_tokens=run_cfg.max_tokens,
-    )
-    enc_cfg = EncoderConfig(
-        n_layers=run_cfg.n_layers,
-        n_heads=run_cfg.n_heads,
-        d_model=run_cfg.d_model,
-        d_ffn=run_cfg.d_ffn,
-        max_positions=run_cfg.effective_max_positions(),
-        dropout_rate=run_cfg.dropout,
-    )
-    return VulnPoolModel(model_cfg, enc_cfg, vocab, seed=run_cfg.seed if seed is None else seed)
+    return VulnPoolModel(run_cfg.model_config(), run_cfg.encoder_config(), vocab,
+                         seed=run_cfg.seed if seed is None else seed)
 
 
-def build_train_config(run_cfg: RunConfig):
-    from .trainer import TrainConfig
-
-    return TrainConfig(
-        epochs=run_cfg.epochs,
-        batch_size=run_cfg.batch_size,
-        lr=run_cfg.lr,
-        beta1=run_cfg.beta1,
-        beta2=run_cfg.beta2,
-        eps=run_cfg.eps,
-        seed=run_cfg.seed,
-        grad_clip=run_cfg.grad_clip,
-    )
+def build_train_config(run_cfg: RunConfig) -> TrainConfig:
+    return run_cfg.train_config()

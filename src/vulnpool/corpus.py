@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import tokenizer as tok
+from .evaluate import render_rows
 
 SPLIT_NAMES = ("train", "val", "test")
 
@@ -82,7 +83,7 @@ class CodeSample:
     split: str | None = None
 
     def __post_init__(self):
-        if self.label not in (0, 1):
+        if isinstance(self.label, bool) or self.label not in (0, 1):
             raise CorpusError(f"sample {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if self.split is not None and self.split not in SPLIT_NAMES:
             raise CorpusError(f"sample {self.id!r}: unknown split {self.split!r}")
@@ -141,21 +142,25 @@ def sample_to_record(s: CodeSample) -> dict:
 
 def load_records(path) -> list[CodeSample]:
     """Parse one JSON record per line; unknown fields are ignored, order kept."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: not UTF-8 text: {exc.reason}") from None
     samples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record: {exc.msg}") from None
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno}: record must be an object")
-            try:
-                samples.append(record_to_sample(obj, where=f"line {lineno}"))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}: line {lineno}: malformed record: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: line {lineno}: record must be an object")
+        try:
+            samples.append(record_to_sample(obj, where=f"line {lineno}"))
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
     return samples
 
 
@@ -539,14 +544,7 @@ class CorpusStats:
             ["Total", rec["train"], rec["val"], rec["test"], rec["vulnerable"],
              rec["non_vulnerable"], rec["total"]]
         )
-        widths = [
-            max(len(str(row[i])) for row in [header] + rows) for i in range(len(header))
-        ]
-        def fmt(row):
-            return "  ".join(str(c).ljust(widths[i]) for i, c in enumerate(row)).rstrip()
-        lines = [fmt(header), fmt(["-" * w for w in widths])]
-        lines.extend(fmt(row) for row in rows)
-        return "\n".join(lines)
+        return render_rows(header, rows)
 
 
 def stats(split: DatasetSplit) -> CorpusStats:

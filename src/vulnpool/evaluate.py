@@ -169,7 +169,8 @@ def breakdown(predictions, labels, samples, by: str, top_cwes=DEFAULT_TOP_CWES) 
 # ---------------------------------------------------------------------------
 # rendering
 
-def _format_table(header, rows) -> str:
+def render_rows(header, rows) -> str:
+    """Left-aligned plain-text table: header, dashed rule, one line per row."""
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
 
     def fmt(row):
@@ -184,7 +185,7 @@ def _pct(x: float) -> str:
 
 def render_metrics(report: MetricsReport, name: str = "overall") -> str:
     header = ["Method", "Recall", "Precision", "F1-score"]
-    return _format_table(
+    return render_rows(
         header, [[name, _pct(report.recall), _pct(report.precision), _pct(report.f1)]]
     )
 
@@ -202,11 +203,7 @@ def render_breakdown(report: BreakdownReport) -> str:
             ["Average", _pct(report.macro["recall"]), _pct(report.macro["precision"]),
              _pct(report.macro["f1"]), sum(gm.n_samples for gm in report.groups.values())]
         )
-    return _format_table(header, rows)
-
-
-def render_rows(header, rows) -> str:
-    return _format_table(header, rows)
+    return render_rows(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,13 @@ class ModelConfig:
             )
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if self.prompt_len < 1 or self.pool_size < 1:
+            raise ValueError(
+                f"prompt_len and pool_size must be >= 1, got {self.prompt_len} "
+                f"and {self.pool_size}"
+            )
         if not 1 <= self.top_k <= self.pool_size:
             raise ValueError(f"top_k must lie in [1, {self.pool_size}], got {self.top_k}")
-        if self.prompt_len < 1 or self.pool_size < 1:
-            raise ValueError("prompt_len and pool_size must be >= 1")
 
 
 @dataclass

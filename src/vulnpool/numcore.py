@@ -38,10 +38,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
@@ -239,15 +235,6 @@ def vec_matmul(v: Tensor, w: Tensor) -> Tensor:
         return g @ w.data.T, np.outer(v.data, g)
 
     return _make(data, (v, w), bw)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def bw(g):
-        return (g * mask,)
-
-    return _make(a.data * mask, (a,), bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

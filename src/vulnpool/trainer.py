@@ -13,7 +13,7 @@ import math
 import os
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,22 +21,17 @@ from . import checkpoint as ckpt
 from . import evaluate as ev
 from . import numcore as nc
 from .corpus import DatasetSplit
-from .model import ModelConfig, VulnPoolModel
+from .model import MODES, ModelConfig, VulnPoolModel
 from .encoder import EncoderConfig
 from .tokenizer import Vocabulary
 
-LAMBDA_GRID = (0.1, 0.3, 0.01, 0.03)
-PROMPT_LEN_GRID = (1, 3, 5, 7, 9)
-TOPK_GRID = (1, 2, 3)
-MPL_GRID = (1, 2, 3)
-MODE_GRID = ("pool_query", "pool_masked", "backbone_only")
-
+# sweep axis -> (RunConfig field it varies, values tried)
 SWEEP_AXES = {
-    "lambda": LAMBDA_GRID,
-    "lp": PROMPT_LEN_GRID,
-    "topk": TOPK_GRID,
-    "mpl": MPL_GRID,
-    "mode": MODE_GRID,
+    "lambda": ("lam", (0.1, 0.3, 0.01, 0.03)),
+    "lp": ("prompt_len", (1, 3, 5, 7, 9)),
+    "topk": ("top_k", (1, 2, 3)),
+    "mpl": ("matrices_per_language", (1, 2, 3)),
+    "mode": ("mode", MODES),
 }
 
 
@@ -390,10 +385,14 @@ def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str, values
 
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
-    values = list(values) if values is not None else list(SWEEP_AXES[axis])
+    field_name, grid = SWEEP_AXES[axis]
+    values = list(values) if values is not None else list(grid)
     rows = []
     for value in values:
-        run_cfg = base_config.with_axis(axis, value)
+        changes = {field_name: value}
+        if field_name == "matrices_per_language":
+            changes["pool_size"] = None  # the pool grows with the matrices per language
+        run_cfg = replace(base_config, **changes)
         model = build_model(run_cfg, vocab)
         if log:
             log(f"sweep {axis}={value}: training")

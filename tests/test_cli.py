@@ -1,4 +1,7 @@
+import argparse
+import dataclasses
 import json
+import typing
 
 import pytest
 
@@ -78,6 +81,64 @@ def test_snapshot_round_trips_through_parser(tmp_path):
     path.write_text(cfg.snapshot())
     again = build_run_config(str(path), {})
     assert again == cfg
+
+
+# a valid value other than the default for every config key, as a flag string;
+# a key missing here fails test_every_config_key_has_one_flag
+NON_DEFAULT = {
+    "data": "corpus.jsonl", "out": "runs/x", "vocab": "vocab.txt", "seed": "7",
+    "ratios": "0.7,0.2,0.1", "vocab_size": "100", "max_tokens": "64", "n_layers": "1",
+    "n_heads": "4", "d_model": "64", "d_ffn": "32", "max_positions": "600",
+    "dropout": "0.1", "mode": "pool_query", "lam": "0.3", "prompt_len": "3",
+    "pool_size": "14", "top_k": "2", "matrices_per_language": "2",
+    "query_from": "embed_cls", "epochs": "2", "batch_size": "8", "lr": "0.001",
+    "beta1": "0.8", "beta2": "0.99", "eps": "1e-6", "grad_clip": "1.0",
+    "n_per_language": "10", "vuln_rate": "0.3",
+}
+HINTS = typing.get_type_hints(RunConfig)
+FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig)
+              if float in (HINTS[f.name], *typing.get_args(HINTS[f.name]))]
+
+
+def config_flags(name):
+    parser = argparse.ArgumentParser()
+    cli._add_config_flags(parser)
+    return [opt for a in parser._actions if a.dest == name for opt in a.option_strings]
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_every_config_key_has_one_flag(field, tmp_path):
+    flags = config_flags(field.name)
+    assert len(flags) == 1, flags
+    args = cli.make_parser().parse_args(["synth", flags[0], NON_DEFAULT[field.name]])
+    cfg = cli._run_config(args)
+    assert getattr(cfg, field.name) != field.default
+    assert cfg == dataclasses.replace(
+        RunConfig(), **{field.name: cfgmod._parse_value(field.name, NON_DEFAULT[field.name])})
+    snap = tmp_path / "snap.cfg"
+    snap.write_text(cfg.snapshot())
+    assert build_run_config(str(snap), {}) == cfg
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_setting_exits_1(key, value, tmp_path, capsys):
+    raw = f"{value},0.5,0.5" if key == "ratios" else value
+    with pytest.raises(ConfigError, match=key):
+        build_run_config(None, {key: raw})
+    assert run_cli("synth", "--out", str(tmp_path / "x.jsonl"),
+                   f"{config_flags(key)[0]}={raw}") == 1
+    err = capsys.readouterr().err
+    assert "finite" in err and err.count("\n") == 1
+
+
+def test_config_file_out_of_range_dropout_exits_1(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("dropout = 1.5\n")
+    assert run_cli("train", "--config", str(cfg_file), "--data", str(tmp_path / "data"),
+                   "--out", str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert "dropout" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +265,16 @@ def test_data_error_exits_2(tmp_path):
     bad.write_text("{not json\n")
     assert run_cli("build-vocab", "--data", str(bad),
                    "--out", str(tmp_path / "v.txt")) == 2
+
+
+def test_non_utf8_records_exit_2(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes('{"id":"a","language":"C","code":"caf\u00e9","label":0}\n'
+                       .encode("latin-1"))
+    assert run_cli("build-vocab", "--data", str(latin1),
+                   "--out", str(tmp_path / "v.txt")) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and err.count("\n") == 1
 
 
 def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):

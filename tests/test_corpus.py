@@ -67,6 +67,13 @@ def test_load_records_rejects_bad_label(tmp_path):
         corpus.load_records(path)
 
 
+def test_load_records_rejects_bool_label(tmp_path):
+    path = tmp_path / "label.jsonl"
+    path.write_text('{"id":"a","language":"C","code":"x","label":true}\n')
+    with pytest.raises(CorpusError, match="label"):
+        corpus.load_records(path)
+
+
 def test_save_load_round_trip(tmp_path):
     samples = [
         make_sample(0, Language.PYTHON, 1, cwe="CWE-79", cve="CVE-2020-1"),
