@@ -13,6 +13,7 @@ are stored in sorted-name order, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -53,32 +54,64 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
             f.write(raw)
 
 
+def _entry(e) -> tuple[str, str, tuple[int, ...], int]:
+    """(name, dtype, shape, offset) of one manifest array entry."""
+    name, dtype, shape, offset = e["name"], e["dtype"], e["shape"], e["offset"]
+    if not (isinstance(name, str) and isinstance(dtype, str) and isinstance(shape, list)
+            and all(type(n) is int for n in shape) and type(offset) is int):
+        raise TypeError(f"malformed array entry {e!r}")
+    return name, dtype, tuple(shape), offset
+
+
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container back. Any damage to it (truncation, a bad manifest,
+    array ranges outside the data or overlapping) raises CheckpointError."""
     with open(path, "rb") as f:
-        magic = f.read(len(_MAGIC))
-        if magic != _MAGIC:
-            found = magic.split(b"\n", 1)[0].decode("ascii", errors="replace")
-            raise CheckpointError(
-                f"{path}: format version mismatch: expected {FORMAT_VERSION!r}, found {found!r}"
-            )
-        (manifest_len,) = struct.unpack("<Q", f.read(8))
-        manifest = json.loads(f.read(manifest_len).decode("utf-8"))
-        data = f.read()
+        raw = f.read()
+    if not raw.startswith(_MAGIC):
+        found = raw[: len(_MAGIC)].split(b"\n", 1)[0].decode("ascii", errors="replace")
+        raise CheckpointError(
+            f"{path}: format version mismatch: expected {FORMAT_VERSION!r}, found {found!r}"
+        )
+    manifest_start = len(_MAGIC) + 8
+    if len(raw) < manifest_start:
+        raise CheckpointError(f"{path}: truncated header")
+    (manifest_len,) = struct.unpack_from("<Q", raw, len(_MAGIC))
+    data_start = manifest_start + manifest_len
+    if data_start > len(raw):
+        raise CheckpointError(
+            f"{path}: manifest length {manifest_len} exceeds the {len(raw)}-byte file"
+        )
+    try:
+        manifest = json.loads(raw[manifest_start:data_start].decode("utf-8"))
+        meta = manifest.get("meta", {})
+        entries = [_entry(e) for e in manifest["arrays"]]
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+        raise CheckpointError(f"{path}: corrupt manifest: {exc!r}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: corrupt manifest: meta is not an object")
+
+    data = memoryview(raw)[data_start:]
     arrays = {}
-    for entry in manifest["arrays"]:
-        dtype = _DTYPES.get(entry["dtype"])
+    spans = []
+    for name, dtype_str, shape, start in entries:
+        dtype = _DTYPES.get(dtype_str)
         if dtype is None:
-            raise CheckpointError(f"{path}: unsupported dtype {entry['dtype']!r}")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        stop = start + count * dtype.itemsize
+            raise CheckpointError(f"{path}: unsupported dtype {dtype_str!r}")
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate array {name!r}")
+        if start < 0 or any(n < 0 for n in shape):
+            raise CheckpointError(f"{path}: negative offset or shape for array {name!r}")
+        stop = start + math.prod(shape) * dtype.itemsize
         if stop > len(data):
-            raise CheckpointError(f"{path}: truncated data for array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            data[start:stop], dtype=dtype
-        ).reshape(shape).copy()
-    return arrays, manifest.get("meta", {})
+            raise CheckpointError(f"{path}: truncated data for array {name!r}")
+        arrays[name] = np.frombuffer(data[start:stop], dtype=dtype).reshape(shape).copy()
+        spans.append((start, stop, name))
+    spans.sort()
+    for (_, prev_stop, prev), (start, _, name) in zip(spans, spans[1:]):
+        if start < prev_stop:
+            raise CheckpointError(f"{path}: arrays {prev!r} and {name!r} overlap")
+    return arrays, meta
 
 
 def check_shapes(arrays: dict[str, np.ndarray], expected: dict[str, tuple], where: str):

@@ -187,15 +187,19 @@ def _parse_value(key: str, raw):
 def load_config_file(path) -> dict:
     """Parse a key = value config file ('#' starts a comment)."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key = value")
-            key, raw = (part.strip() for part in line.split("=", 1))
-            values[key] = _parse_value(key, raw)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key = value")
+        key, raw = (part.strip() for part in line.split("=", 1))
+        values[key] = _parse_value(key, raw)
     return values
 
 

@@ -4,12 +4,13 @@ multi-head self-attention stack.
 Stands in for a pretrained code encoder at desk scale; weights load from a
 checkpoint or initialize from a seeded normal(0, 0.02). Prompt rows prepended
 by the pool receive no positional term, so `embed` indexes positions over
-code tokens only.
+code tokens only. A mini-batch is packed, not padded: its sequences sit back
+to back in one (rows, d) matrix, every row-wise layer runs once over all
+rows, and the fused attention op keeps each sequence to itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -17,8 +18,6 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import numcore as nc
 from .numcore import Tensor
-
-NEG_INF = float("-inf")
 
 
 @dataclass
@@ -101,72 +100,65 @@ class Encoder:
     # ------------------------------------------------------------------
     # forward
 
-    def embed(self, ids) -> Tensor:
-        """Token embedding plus learned absolute positions over code tokens."""
-        ids = list(ids)
-        if any(i < 0 or i >= self.vocab_size for i in ids):
-            bad = [i for i in ids if i < 0 or i >= self.vocab_size]
-            raise IndexError(f"token id(s) out of range for vocab {self.vocab_size}: {bad}")
-        if len(ids) > self.config.max_positions:
+    def _segments(self, segments, rows: int) -> list[tuple[int, int]]:
+        """Each sequence's (start, stop) rows; they must tile all `rows`."""
+        spans = [(0, rows)] if segments is None else [(int(lo), int(hi)) for lo, hi in segments]
+        starts = [0] + [hi for _, hi in spans[:-1]]
+        if not spans or [lo for lo, _ in spans] != starts or spans[-1][1] != rows:
+            raise ValueError(f"segments {spans} do not tile {rows} rows")
+        longest = max(hi - lo for lo, hi in spans)
+        if longest > self.config.max_positions:
             raise ValueError(
-                f"sequence length {len(ids)} exceeds max_positions {self.config.max_positions}"
+                f"sequence length {longest} exceeds max_positions {self.config.max_positions}"
             )
-        tok_rows = nc.gather_rows(self.params["embed.tok"], ids)
-        pos_rows = nc.gather_rows(self.params["embed.pos"], list(range(len(ids))))
+        return spans
+
+    def embed(self, ids, segments=None) -> Tensor:
+        """Token embedding plus learned absolute positions over code tokens.
+
+        `ids` is one sequence, or several back to back with `segments` giving
+        each one's (start, stop); positions restart at 0 in every sequence.
+        """
+        spans = self._segments(segments, len(ids))
+        positions = np.concatenate([np.arange(hi - lo) for lo, hi in spans])
+        tok_rows = nc.gather_rows(self.params["embed.tok"], ids)  # range-checks the ids
+        pos_rows = nc.gather_rows(self.params["embed.pos"], positions)
         return nc.add(tok_rows, pos_rows)
 
-    def _attention(self, x: Tensor, mask_bias: np.ndarray | None, layer: int) -> Tensor:
-        cfg = self.config
-        p = f"enc.{layer}.attn."
-        q = nc.add(nc.matmul(x, self.params[p + "wq"]), self.params[p + "bq"])
-        k = nc.add(nc.matmul(x, self.params[p + "wk"]), self.params[p + "bk"])
-        v = nc.add(nc.matmul(x, self.params[p + "wv"]), self.params[p + "bv"])
-        dh = cfg.d_model // cfg.n_heads
-        inv_sqrt = 1.0 / math.sqrt(dh)
-        heads = []
-        for h in range(cfg.n_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qh = nc.slice_cols(q, lo, hi)
-            kh = nc.slice_cols(k, lo, hi)
-            vh = nc.slice_cols(v, lo, hi)
-            scores = nc.scale(nc.matmul(qh, nc.transpose(kh)), inv_sqrt)
-            if mask_bias is not None:
-                scores = nc.add(scores, Tensor(mask_bias))
-            attn = nc.softmax_rows(scores)
-            heads.append(nc.matmul(attn, vh))
-        merged = heads[0] if len(heads) == 1 else nc.concat_cols(heads)
-        return nc.add(nc.matmul(merged, self.params[p + "wo"]), self.params[p + "bo"])
+    def _linear(self, x: Tensor, w: str, b: str) -> Tensor:
+        return nc.add(nc.matmul(x, self.params[w]), self.params[b])
 
-    def encode(self, x: Tensor, mask=None, train_mode: bool = False, rng=None) -> Tensor:
-        """Run the pre-norm encoder stack; masked positions receive zero
-        attention weight from every query. Output shape equals input shape."""
+    def encode(self, x: Tensor, segments=None, mask=None, train_mode: bool = False,
+               rng=None) -> Tensor:
+        """Run the pre-norm encoder stack over one sequence, or over several
+        packed back to back as `segments` (see `embed`); rows attend only
+        within their own sequence. Masked positions receive zero attention
+        weight from every query. Output shape equals input shape."""
         rows = x.shape[0]
-        if rows > self.config.max_positions:
-            raise ValueError(
-                f"input rows {rows} exceed max_positions {self.config.max_positions}"
-            )
-        mask_bias = None
+        spans = self._segments(segments, rows)
+        key_mask = None
         if mask is not None:
-            mask = list(mask)
+            mask = np.asarray(list(mask), dtype=bool)
             if len(mask) != rows:
                 raise ValueError(f"mask length {len(mask)} does not match input rows {rows}")
-            if not all(mask):
-                bias_row = np.where(np.asarray(mask, dtype=bool), 0.0, NEG_INF)
-                mask_bias = np.broadcast_to(bias_row, (rows, rows)).copy()
+            if not mask.all():
+                key_mask = mask
 
         drop = self.config.dropout_rate if train_mode else 0.0
         for layer in range(self.config.n_layers):
             p = f"enc.{layer}."
             normed = nc.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])
-            attn_out = self._attention(normed, mask_bias, layer)
+            q = self._linear(normed, p + "attn.wq", p + "attn.bq")
+            k = self._linear(normed, p + "attn.wk", p + "attn.bk")
+            v = self._linear(normed, p + "attn.wv", p + "attn.bv")
+            merged = nc.attention(q, k, v, spans, self.config.n_heads, key_mask)
+            attn_out = self._linear(merged, p + "attn.wo", p + "attn.bo")
             if drop > 0.0:
                 attn_out = nc.dropout(attn_out, drop, rng)
             x = nc.add(x, attn_out)
             normed = nc.layer_norm(x, self.params[p + "ln2.g"], self.params[p + "ln2.b"])
-            hidden = nc.gelu(
-                nc.add(nc.matmul(normed, self.params[p + "ffn.w1"]), self.params[p + "ffn.b1"])
-            )
-            ffn_out = nc.add(nc.matmul(hidden, self.params[p + "ffn.w2"]), self.params[p + "ffn.b2"])
+            hidden = nc.gelu(self._linear(normed, p + "ffn.w1", p + "ffn.b1"))
+            ffn_out = self._linear(hidden, p + "ffn.w2", p + "ffn.b2")
             if drop > 0.0:
                 ffn_out = nc.dropout(ffn_out, drop, rng)
             x = nc.add(x, ffn_out)

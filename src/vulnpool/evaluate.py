@@ -218,16 +218,17 @@ def export_embeddings(model, samples, path):
     """
     from . import numcore as nc
     from . import pool as pl
-    from . import tokenizer as tok
 
-    lines = []
-    for s in sorted(samples, key=lambda s: s.id):
+    ordered = sorted(samples, key=lambda s: s.id)
+    queries = []
+    if ordered:
         with nc.no_grad():
-            seq = tok.encode(s.code, model.vocab, model.config.max_tokens)
-            x_e = model.encoder.embed(seq.ids)
-            q = model.query_vector(x_e)
-            selection = pl.select(q, model.keys, k=1)
-        values = "\t".join(f"{v:.8e}" for v in q.data)
+            x_e, segments = model.embed(ordered)
+            queries = model.query_vector(x_e, segments).data
+    lines = []
+    for s, q in zip(ordered, queries):
+        selection = pl.select(q, model.keys, k=1)
+        values = "\t".join(f"{v:.8e}" for v in q)
         lines.append(f"query\t{s.id}\t{s.language.tag}\t{selection.i_star}\t{values}")
     for i, k in enumerate(model.keys.keys):
         values = "\t".join(f"{v:.8e}" for v in k.data)

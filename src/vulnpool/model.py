@@ -1,11 +1,13 @@
 """Full detection model: embedding, parameter pool, encoder stack, classifier.
 
-The forward pass embeds the token sequence, derives a query vector, selects
+The forward pass builds one graph per mini-batch. It embeds the token
+sequences packed back to back, derives a query vector per sample, selects
 prompt matrices from the pool (restricted to the input language's indices
-during masked training), prepends them, runs the encoder, mean-pools the
-outputs at the prompt positions and applies an affine classifier. The joint
-loss is cross-entropy minus a weighted query/key match term. A backbone-only
-mode bypasses the pool and classifies from the [CLS] output row.
+during masked training), prepends them to each sequence, runs the encoder
+once over all rows, mean-pools each sample's outputs at its prompt positions
+and applies an affine classifier. The joint loss is cross-entropy minus a
+weighted query/key match term, averaged over the batch. A backbone-only mode
+bypasses the pool and classifies from the [CLS] output row.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ class ModelConfig:
 
 @dataclass
 class ForwardResult:
-    logits: Tensor
-    selection: pl.Selection | None
-    phi: Tensor | None  # differentiable match score of the selected key(s)
+    """One forward pass over a mini-batch of B samples."""
+
+    logits: Tensor  # (B, 2)
+    selections: list[pl.Selection] | None  # one per sample; None without a pool
+    phi: Tensor | None  # (B,) differentiable match score of the selected key(s)
 
 
 @dataclass
@@ -131,22 +135,27 @@ class VulnPoolModel:
     # ------------------------------------------------------------------
     # forward / loss / predict
 
-    def query_vector(self, x_e: Tensor) -> Tensor:
+    def embed(self, samples) -> tuple[Tensor, list[tuple[int, int]]]:
+        """Tokenize and embed `samples` back to back: the packed (rows, d)
+        embeddings and each sample's (start, stop) rows."""
+        ids: list[int] = []
+        segments = []
+        for s in samples:
+            seq = tok.encode(s.code, self.vocab, self.config.max_tokens).ids
+            segments.append((len(ids), len(ids) + len(seq)))
+            ids.extend(seq)
+        return self.encoder.embed(ids, segments), segments
+
+    def query_vector(self, x_e: Tensor, segments=None) -> Tensor:
+        """The query of one embedded sequence (d,), or of each packed one (B, d)."""
         if self.config.query_from == "embed_cls":
-            return pl.query(x_e)
-        return nc.mean_rows(x_e)
+            return pl.query(x_e, segments)
+        return nc.segment_mean(x_e, segments)
 
-    def forward(self, sample: CodeSample, train_mode: bool = False) -> ForwardResult:
-        seq = tok.encode(sample.code, self.vocab, self.config.max_tokens)
-        x_e = self.encoder.embed(seq.ids)
+    def _classify(self, pooled: Tensor) -> Tensor:
+        return nc.add(nc.matmul(pooled, self.classifier_w), self.classifier_b)
 
-        if self.config.mode == "backbone_only":
-            h = self.encoder.encode(x_e, train_mode=train_mode, rng=self._dropout_rng)
-            pooled = nc.select_row(h, 0)
-            logits = nc.add(nc.vec_matmul(pooled, self.classifier_w), self.classifier_b)
-            return ForwardResult(logits=logits, selection=None, phi=None)
-
-        q = self.query_vector(x_e)
+    def _select(self, q_row: np.ndarray, sample: CodeSample, train_mode: bool) -> pl.Selection:
         if self.config.mode == "pool_masked" and train_mode:
             if self.assignment is None:
                 raise pl.PoolError(
@@ -154,33 +163,47 @@ class VulnPoolModel:
                     f"(pool_size {self.config.pool_size} cannot cover "
                     f"{len(pl.LANGUAGES)} x {self.config.matrices_per_language})"
                 )
-            selection = pl.select_masked(
-                q, self.keys, self.assignment.indices_for(sample.language)
-            )
-        else:
-            selection = pl.select(q, self.keys, k=self.config.top_k)
+            return pl.select_masked(q_row, self.keys, self.assignment.indices_for(sample.language))
+        return pl.select(q_row, self.keys, k=self.config.top_k)
 
-        adapted = pl.adapt(selection, self.pool, x_e)
-        h = self.encoder.encode(adapted.matrix, train_mode=train_mode, rng=self._dropout_rng)
-        pooled = nc.mean_rows(nc.slice_rows(h, 0, adapted.prompt_len))
-        logits = nc.add(nc.vec_matmul(pooled, self.classifier_w), self.classifier_b)
-        phi = pl.surrogate_similarity(q, self.keys, selection)
-        return ForwardResult(logits=logits, selection=selection, phi=phi)
+    def forward(self, samples, train_mode: bool = False) -> ForwardResult:
+        """One packed graph over the mini-batch `samples`; see ForwardResult."""
+        samples = list(samples)
+        x_e, segments = self.embed(samples)
+        rng = self._dropout_rng
 
-    def loss(self, logits: Tensor, label: int, phi: Tensor | None) -> Tensor:
-        ce = nc.cross_entropy_logits(logits, label)
+        if self.config.mode == "backbone_only":
+            h = self.encoder.encode(x_e, segments, train_mode=train_mode, rng=rng)
+            logits = self._classify(nc.gather_rows(h, [lo for lo, _ in segments]))
+            return ForwardResult(logits=logits, selections=None, phi=None)
+
+        q = self.query_vector(x_e, segments)
+        selections = [self._select(row, s, train_mode) for row, s in zip(q.data, samples)]
+        adapted = pl.adapt(selections, self.pool, x_e, segments)
+        h = self.encoder.encode(adapted.matrix, adapted.segments, train_mode=train_mode, rng=rng)
+        prompts = [(lo, lo + adapted.prompt_len) for lo, _ in adapted.segments]
+        logits = self._classify(nc.segment_mean(h, prompts))
+        phi = pl.surrogate_similarity(q, self.keys, selections)
+        return ForwardResult(logits=logits, selections=selections, phi=phi)
+
+    def loss(self, logits: Tensor, labels, phi: Tensor | None) -> Tensor:
+        """Mean joint loss over the batch: cross-entropy minus lam times the
+        match score. A (2,) logit vector with one label is a batch of one."""
+        ce = nc.cross_entropy_logits(logits, labels)
+        n = ce.data.size
+        mean_ce = nc.scale(nc.sum_all(ce), 1.0 / n)
         if phi is None or self.config.lam == 0.0:
-            return ce
-        return nc.sub(ce, nc.scale(phi, self.config.lam))
+            return mean_ce
+        return nc.sub(mean_ce, nc.scale(nc.sum_all(phi), self.config.lam / n))
 
     def sample_loss(self, sample: CodeSample, train_mode: bool = True) -> Tensor:
-        out = self.forward(sample, train_mode=train_mode)
-        return self.loss(out.logits, sample.label, out.phi)
+        out = self.forward([sample], train_mode=train_mode)
+        return self.loss(out.logits, [sample.label], out.phi)
 
     def predict(self, sample: CodeSample) -> Prediction:
         with nc.no_grad():
-            out = self.forward(sample, train_mode=False)
-        values = out.logits.data
+            out = self.forward([sample], train_mode=False)
+        values = out.logits.data[0]
         shifted = values - values.max()
         probs = np.exp(shifted) / np.exp(shifted).sum()
         label = 1 if values[1] > values[0] else 0  # exact ties resolve to 0
@@ -188,7 +211,7 @@ class VulnPoolModel:
             logits=values.copy(),
             prob_vulnerable=float(probs[1]),
             label=label,
-            selection=out.selection,
+            selection=out.selections[0] if out.selections else None,
         )
 
     def predict_many(self, samples) -> list[Prediction]:

@@ -145,17 +145,19 @@ class Selection:
 
 @dataclass
 class AdaptedEmbedding:
-    """Selected prompt rows stacked on top of the token embeddings."""
+    """Packed sequences, each its selected prompt rows followed by its tokens."""
 
     matrix: Tensor
-    prompt_len: int
+    segments: list[tuple[int, int]]  # each sequence's (start, stop) rows
+    prompt_len: int  # prompt rows at the head of every sequence
 
 
-def query(x_e: Tensor) -> Tensor:
-    """The [CLS]-position row of the embedded sequence."""
+def query(x_e: Tensor, segments=None) -> Tensor:
+    """The [CLS]-position row of the embedded sequence, or of each packed
+    sequence's (start, stop) `segments` as (B, d)."""
     if x_e.shape[0] == 0:
         raise PoolError("cannot take a query from an empty sequence")
-    return nc.select_row(x_e, 0)
+    return nc.gather_rows(x_e, 0 if segments is None else [lo for lo, _ in segments])
 
 
 def match_scores(q, keys: KeySet) -> np.ndarray:
@@ -200,26 +202,70 @@ def select_masked(q, keys: KeySet, allowed) -> Selection:
     return Selection((best,), (float(scores[best]),))
 
 
-def adapt(selection: Selection, pool: ParameterPool, x_e: Tensor) -> AdaptedEmbedding:
-    """Concatenate the selected prompt matrices above the token embeddings.
+def _batch(selections) -> list[Selection]:
+    return [selections] if isinstance(selections, Selection) else list(selections)
 
-    Gradients flow only into the selected matrices; the embedding tail is
-    carried through unchanged.
+
+def adapt(selections, pool: ParameterPool, x_e: Tensor, segments=None) -> AdaptedEmbedding:
+    """Stack each sequence's selected prompt matrices above its token embeddings.
+
+    `x_e` holds one sequence with one Selection, or several back to back with
+    one Selection per (start, stop) in `segments`. The result packs the
+    sequences in the same order, built as one row gather over the selected
+    matrices and `x_e`. Gradients flow only into the selected matrices; the
+    embedding rows are carried through unchanged.
     """
+    selections = _batch(selections)
+    spans = [(0, x_e.shape[0])] if segments is None else list(segments)
+    if len(spans) != len(selections):
+        raise PoolError(f"{len(selections)} selections for {len(spans)} sequences")
     if x_e.shape[1] != pool.d_model:
         raise PoolError(
             f"embedding width {x_e.shape[1]} does not match pool width {pool.d_model}"
         )
-    for i in selection.indices:
-        if not 0 <= i < pool.size:
-            raise PoolError(f"selected index {i} out of range [0, {pool.size})")
-    parts = [pool.matrices[i] for i in selection.indices]
-    matrix = nc.concat_rows(parts + [x_e])
-    return AdaptedEmbedding(matrix=matrix, prompt_len=len(parts) * pool.prompt_len)
+    for selection in selections:
+        for i in selection.indices:
+            if not 0 <= i < pool.size:
+                raise PoolError(f"selected index {i} out of range [0, {pool.size})")
+    if len({len(s.indices) for s in selections}) != 1:
+        raise PoolError("every sequence of a batch must select the same number of matrices")
+
+    used = sorted({i for s in selections for i in s.indices})
+    lp = pool.prompt_len
+    first_row = {i: j * lp for j, i in enumerate(used)}
+    tokens_at = len(used) * lp
+    rows: list[int] = []
+    packed = []
+    for selection, (lo, hi) in zip(selections, spans):
+        start = len(rows)
+        for i in selection.indices:
+            rows.extend(range(first_row[i], first_row[i] + lp))
+        rows.extend(range(tokens_at + lo, tokens_at + hi))
+        packed.append((start, len(rows)))
+    table = nc.concat_rows([pool.matrices[i] for i in used] + [x_e])
+    return AdaptedEmbedding(
+        matrix=nc.gather_rows(table, rows),
+        segments=packed,
+        prompt_len=len(selections[0].indices) * lp,
+    )
 
 
-def surrogate_similarity(q: Tensor, keys: KeySet, selection: Selection) -> Tensor:
-    """Differentiable query/key match term; the mean over selected keys."""
-    sims = [nc.cosine_similarity(q, keys.keys[i]) for i in selection.indices]
-    total = sims[0] if len(sims) == 1 else nc.add_n(sims)
-    return nc.scale(total, 1.0 / len(sims)) if len(sims) > 1 else total
+def surrogate_similarity(q: Tensor, keys: KeySet, selections) -> Tensor:
+    """Differentiable query/key match term, (B,): for each query row of `q`
+    (B, d), the mean cosine to the keys of its Selection. A lone (d,) query
+    takes one Selection and gives (1,)."""
+    selections = _batch(selections)
+    if q.data.ndim == 1:
+        q = nc.concat_rows([q])
+    used = sorted({i for s in selections for i in s.indices})
+    slot = {i: j for j, i in enumerate(used)}
+    key_rows = nc.gather_rows(
+        nc.concat_rows([keys.keys[i] for i in used]),
+        [slot[i] for s in selections for i in s.indices],
+    )
+    counts = [len(s.indices) for s in selections]
+    if max(counts) == 1:  # one key per query: the rows already pair up
+        return nc.cosine_similarity(q, key_rows)
+    query_rows = nc.gather_rows(q, [b for b, n in enumerate(counts) for _ in range(n)])
+    ends = np.cumsum(counts)
+    return nc.segment_mean(nc.cosine_similarity(query_rows, key_rows), zip(ends - counts, ends))

@@ -124,8 +124,11 @@ def save_vocab(vocab: Vocabulary, path):
 
 def load_vocab(path) -> Vocabulary:
     """Load a one-token-per-line vocabulary (external pretrained files welcome)."""
-    with open(path, encoding="utf-8") as f:
-        id_to_token = [line.rstrip("\n") for line in f]
+    try:
+        with open(path, encoding="utf-8") as f:
+            id_to_token = [line.rstrip("\n") for line in f]
+    except UnicodeDecodeError as exc:
+        raise TokenizerError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if len(id_to_token) < len(SPECIALS):
         raise TokenizerError(f"vocabulary file too small: {len(id_to_token)} lines")
     if tuple(id_to_token[:4]) != SPECIALS:

@@ -158,14 +158,11 @@ def _epoch_order(n: int, seed: int, epoch: int) -> list[int]:
 
 
 def _mean_batch_loss(model: VulnPoolModel, batch, collect: Counter | None):
-    losses = []
-    for s in batch:
-        out = model.forward(s, train_mode=True)
-        losses.append(model.loss(out.logits, s.label, out.phi))
-        if collect is not None and out.selection is not None:
-            collect[(s.language.tag, out.selection.i_star)] += 1
-    total = losses[0] if len(losses) == 1 else nc.add_n(losses)
-    return nc.scale(total, 1.0 / len(losses))
+    out = model.forward(batch, train_mode=True)
+    if collect is not None and out.selections is not None:
+        for s, selection in zip(batch, out.selections):
+            collect[(s.language.tag, selection.i_star)] += 1
+    return model.loss(out.logits, [s.label for s in batch], out.phi)
 
 
 def train(
@@ -302,8 +299,11 @@ def load_checkpoint(path, vocab: Vocabulary):
             f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
             f"supplied {vocab_hash(vocab)[:12]}...)"
         )
-    model_config = ModelConfig(**meta["model"])
-    enc_config = EncoderConfig(**meta["encoder"])
+    try:
+        model_config = ModelConfig(**meta["model"])
+        enc_config = EncoderConfig(**meta["encoder"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ckpt.CheckpointError(f"{path}: bad model settings in manifest: {exc}") from None
     stored_lp = arrays["pool.P.0"].shape[0] if "pool.P.0" in arrays else None
     if stored_lp is not None and stored_lp != model_config.prompt_len:
         raise ckpt.CheckpointError(

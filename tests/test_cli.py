@@ -277,6 +277,48 @@ def test_non_utf8_records_exit_2(tmp_path, capsys):
     assert "UTF-8" in err and err.count("\n") == 1
 
 
+def test_non_utf8_config_file_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n# caf\xff\n")
+    with pytest.raises(ConfigError, match="UTF-8"):
+        cfgmod.load_config_file(bad)
+    assert run_cli("synth", "--config", str(bad), "--out", str(tmp_path / "raw.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and err.count("\n") == 1
+
+
+def test_non_utf8_vocab_file_exits_2(tmp_path, capsys):
+    from vulnpool import tokenizer as tok
+
+    raw = tmp_path / "raw.jsonl"
+    assert run_cli("synth", "--n", "4", "--seed", "0", "--out", str(raw)) == 0
+    bad = tmp_path / "vocab.txt"
+    bad.write_bytes(b"[CLS]\n[EOS]\n[PAD]\n[UNK]\nint\n\xff\n")
+    with pytest.raises(tok.TokenizerError, match="UTF-8"):
+        tok.load_vocab(bad)
+    capsys.readouterr()
+    assert run_cli("preprocess", "--data", str(raw), "--out", str(tmp_path / "data"),
+                   "--vocab", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and err.count("\n") == 1
+
+
+def test_eval_bad_manifest_setting_exits_2(corpus_dir, tmp_path, capsys):
+    from vulnpool import checkpoint as ckpt
+
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(corpus_dir), "--out", str(run_dir),
+                   "--seed", "1", *TINY_TRAIN_FLAGS) == 0
+    arrays, meta = ckpt.load_arrays(run_dir / "best.ckpt")
+    meta["model"]["mode"] = "nope"
+    ckpt.save_arrays(run_dir / "best.ckpt", arrays, meta)
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir), "--data", str(corpus_dir),
+                   "--max-tokens", "64") == 2
+    err = capsys.readouterr().err
+    assert "mode" in err and err.count("\n") == 1
+
+
 def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):
     # the op set is numerically stable by design, so divergence is injected
     # rather than provoked; the trainer-side detection has its own unit test

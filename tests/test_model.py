@@ -1,24 +1,28 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from vulnpool import checkpoint as ckpt
+from vulnpool import corpus
 from vulnpool import numcore as nc
 from vulnpool import pool as pl
 from vulnpool import tokenizer as tok
 from vulnpool.corpus import Language
-from vulnpool.model import ModelConfig
+from vulnpool.encoder import EncoderConfig
+from vulnpool.model import ModelConfig, VulnPoolModel
 
 from conftest import build_tiny_model
 
 
 def test_backbone_mode_never_touches_pool(small_corpus):
     model = build_tiny_model(small_corpus, mode="backbone_only")
-    out = model.forward(small_corpus[0], train_mode=True)
-    assert out.selection is None and out.phi is None
-    loss = model.loss(out.logits, small_corpus[0].label, out.phi)
+    out = model.forward([small_corpus[0]], train_mode=True)
+    assert out.selections is None and out.phi is None
+    loss = model.loss(out.logits, [small_corpus[0].label], out.phi)
     # without a selection the joint loss degenerates to plain cross-entropy
-    assert loss.item() == nc.cross_entropy_logits(out.logits, small_corpus[0].label).item()
+    assert loss.item() == nc.cross_entropy_logits(out.logits, [small_corpus[0].label]).item()
     nc.backward(loss)
     for m in model.pool.matrices:
         assert m.grad is None
@@ -30,11 +34,11 @@ def test_backbone_mode_never_touches_pool(small_corpus):
 def test_classifier_reads_mean_of_prompt_rows(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_query", prompt_len=5)
     sample = small_corpus[0]
-    out = model.forward(sample, train_mode=False)
+    out = model.forward([sample], train_mode=False)
     with nc.no_grad():
         seq = tok.encode(sample.code, model.vocab, model.config.max_tokens)
         x_e = model.encoder.embed(seq.ids)
-        adapted = pl.adapt(out.selection, model.pool, x_e)
+        adapted = pl.adapt(out.selections[0], model.pool, x_e)
         h = model.encoder.encode(adapted.matrix)
     pooled = h.data[0:5].mean(axis=0)
     expected = pooled @ model.classifier_w.data + model.classifier_b.data
@@ -46,14 +50,14 @@ def test_masked_training_uses_assigned_index_inference_is_unrestricted(small_cor
     go_samples = [s for s in small_corpus if s.language is Language.GO]
     go_index = model.assignment.indices_for(Language.GO)[0]
     for s in go_samples:
-        train_out = model.forward(s, train_mode=True)
-        assert train_out.selection.i_star == go_index
+        train_out = model.forward([s], train_mode=True)
+        assert train_out.selections[0].i_star == go_index
         # inference ignores the language and selects over the whole pool
-        eval_out = model.forward(s, train_mode=False)
+        eval_out = model.forward([s], train_mode=False)
         seq = tok.encode(s.code, model.vocab, model.config.max_tokens)
         with nc.no_grad():
             q = model.query_vector(model.encoder.embed(seq.ids))
-        assert eval_out.selection.i_star == pl.select(q, model.keys).i_star
+        assert eval_out.selections[0].i_star == pl.select(q, model.keys).i_star
 
 
 def test_masked_training_pulls_only_assigned_key(small_corpus):
@@ -130,8 +134,8 @@ def test_batch_predict_equals_per_sample(small_corpus):
 
 def test_forward_is_deterministic(small_corpus):
     model = build_tiny_model(small_corpus)
-    a = model.forward(small_corpus[0]).logits.data
-    b = model.forward(small_corpus[0]).logits.data
+    a = model.forward([small_corpus[0]]).logits.data
+    b = model.forward([small_corpus[0]]).logits.data
     assert np.array_equal(a, b)
 
 
@@ -156,13 +160,13 @@ def test_key_gradient_step_increases_similarity():
 def test_surrogate_increases_under_model_forward(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked")
     sample = small_corpus[3]
-    out = model.forward(sample, train_mode=True)
+    out = model.forward([sample], train_mode=True)
     before = out.phi.item()
     nc.backward(out.phi)
-    key = model.keys.keys[out.selection.i_star]
+    key = model.keys.keys[out.selections[0].i_star]
     key.data += 1e-3 * key.grad
     model.zero_grad()
-    after = model.forward(sample, train_mode=True).phi.item()
+    after = model.forward([sample], train_mode=True).phi.item()
     assert after > before
 
 
@@ -194,7 +198,7 @@ def test_masked_mode_without_assignment_errors(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked", pool_size=3, top_k=1)
     assert model.assignment is None
     with pytest.raises(pl.PoolError, match="assignment"):
-        model.forward(small_corpus[0], train_mode=True)
+        model.forward([small_corpus[0]], train_mode=True)
 
 
 def test_model_config_validation():
@@ -204,3 +208,35 @@ def test_model_config_validation():
         ModelConfig(top_k=9, pool_size=7)
     with pytest.raises(ValueError, match="lam"):
         ModelConfig(lam=-0.5)
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_batch"
+
+
+@pytest.mark.parametrize("case", ["pool_masked", "pool_query_top2", "backbone_only"])
+def test_packed_batch_matches_per_sample_golden(case):
+    # oracle written by the per-sample path (see data/golden_batch/make_golden.py)
+    arrays, meta = ckpt.load_arrays(GOLDEN / f"{case}.ckpt")
+    vocab = tok.Vocabulary({t: i for i, t in enumerate(meta["vocab"])}, meta["vocab"])
+    model = VulnPoolModel(ModelConfig(**meta["model"]), EncoderConfig(**meta["encoder"]), vocab)
+    model.load_params({n[len("param."):]: a for n, a in arrays.items() if n.startswith("param.")})
+    samples = [
+        corpus.CodeSample(id=r["id"], language=corpus.parse_language(r["language"]),
+                          code=r["code"], label=r["label"])
+        for r in meta["samples"]
+    ]
+    out = model.forward(samples, train_mode=True)
+    loss = model.loss(out.logits, [s.label for s in samples], out.phi)
+    nc.backward(loss)
+
+    if out.selections is None:
+        assert "selections" not in arrays
+    else:
+        assert [s.indices for s in out.selections] == [tuple(r) for r in arrays["selections"]]
+    assert np.abs(out.logits.data - arrays["logits"]).max() < 1e-10
+    assert abs(loss.item() - arrays["loss"].item()) < 1e-10
+    for name, p in model.parameters():
+        expected = arrays.get(f"grad.{name}")
+        assert (p.grad is None) == (expected is None), name
+        if expected is not None:
+            assert np.abs(p.grad - expected).max() < 1e-10, name

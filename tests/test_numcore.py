@@ -48,18 +48,64 @@ def test_cosine_scale_invariance():
         assert -1.0 <= base <= 1.0
 
 
+def attention_weights(q, k, key_mask=None):
+    """The softmax weights of one-head attention over one segment: with
+    identity values the output rows are the weight rows."""
+    n = q.shape[0]
+    eye = nc.tensor(np.eye(n))
+    return nc.attention(nc.tensor(q), nc.tensor(k), eye, [(0, n)], 1, key_mask).data
+
+
 def test_softmax_rows_sum_to_one_and_positive():
-    x = nc.tensor(rng(2).normal(size=(5, 7)) * 10)
-    s = nc.softmax_rows(x).data
+    r = rng(2)
+    s = attention_weights(r.normal(size=(5, 5)) * 10, r.normal(size=(5, 5)))
     assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
     assert (s > 0).all()
 
 
 def test_softmax_handles_minus_inf():
-    x = nc.tensor([[1.0, float("-inf"), 2.0]])
-    s = nc.softmax_rows(x).data
-    assert s[0, 1] == 0.0
-    assert s[0].sum() == pytest.approx(1.0, abs=1e-12)
+    r = rng(3)
+    s = attention_weights(r.normal(size=(3, 3)), r.normal(size=(3, 3)),
+                          key_mask=[True, False, True])
+    assert (s[:, 1] == 0.0).all()
+    assert np.allclose(s.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_attention_keeps_segments_apart():
+    # each segment's output equals attention over that segment alone
+    r = rng(4)
+    q, k, v = (r.normal(size=(7, 4)) for _ in range(3))
+    segments = [(0, 1), (1, 4), (4, 7)]
+    packed = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), segments, 2).data
+    for lo, hi in segments:
+        alone = nc.attention(nc.tensor(q[lo:hi]), nc.tensor(k[lo:hi]), nc.tensor(v[lo:hi]),
+                             [(0, hi - lo)], 2).data
+        assert np.allclose(packed[lo:hi], alone, atol=1e-14)
+    # a one-row segment attends only to itself: its output is its value row
+    assert np.allclose(packed[0], v[0], atol=1e-14)
+
+
+def test_batched_rows_match_one_at_a_time():
+    r = rng(5)
+    logits, labels = r.normal(size=(4, 3)), [2, 0, 1, 1]
+    ce = nc.cross_entropy_logits(nc.tensor(logits), labels).data
+    a, b = r.normal(size=(4, 6)), r.normal(size=(4, 6))
+    cos = nc.cosine_similarity(nc.tensor(a), nc.tensor(b)).data
+    assert ce.shape == cos.shape == (4,)
+    for i in range(4):
+        assert ce[i] == pytest.approx(
+            nc.cross_entropy_logits(nc.tensor(logits[i]), labels[i]).item(), abs=1e-14)
+        assert cos[i] == pytest.approx(
+            nc.cosine_similarity(nc.tensor(a[i]), nc.tensor(b[i])).item(), abs=1e-14)
+
+
+def test_segment_mean_values():
+    x = rng(6).normal(size=(6, 3))
+    out = nc.segment_mean(nc.tensor(x), [(0, 2), (2, 3), (4, 6)]).data
+    assert np.array_equal(out, np.stack([x[0:2].mean(axis=0), x[2], x[4:6].mean(axis=0)]))
+    assert np.array_equal(nc.segment_mean(nc.tensor(x)).data, x.mean(axis=0))
+    with pytest.raises(nc.ShapeError, match="segment"):
+        nc.segment_mean(nc.tensor(x), [(2, 4), (3, 5)])
 
 
 def test_layer_norm_standardizes_rows():
@@ -155,11 +201,13 @@ def test_grad_check_cross_entropy_r2():
 
 @pytest.mark.parametrize(
     "name",
-    ["matmul_a", "matmul_b", "vec_matmul", "add_bias", "mul", "scale", "sub",
-     "softmax", "layer_norm_x", "layer_norm_g", "layer_norm_b", "gelu",
-     "mean_rows", "select_row", "slice_rows", "slice_cols", "concat_rows",
-     "concat_cols", "transpose", "gather_rows", "cosine_a", "cosine_b", "dot",
-     "add_n"],
+    ["matmul_a", "matmul_b", "add_bias", "mul", "scale", "sub",
+     "layer_norm_x", "layer_norm_g", "layer_norm_b", "gelu",
+     "slice_rows", "concat_rows", "concat_rows_vector", "gather_rows",
+     "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b", "dot", "add_n",
+     "segment_mean", "segment_mean_all", "cross_entropy_rows",
+     "attention_q", "attention_k", "attention_v",
+     "attention_masked_q", "attention_masked_k", "attention_masked_v"],
 )
 def test_grad_check_each_op(name):
     r = rng(sum(ord(c) for c in name))  # stable across processes
@@ -171,6 +219,15 @@ def test_grad_check_each_op(name):
     mat36 = nc.tensor(r.normal(size=(3, 6)))
     vec6a = nc.tensor(r.normal(size=6))
     vec6b = nc.tensor(r.normal(size=6))
+    mat45b = nc.tensor(r.normal(size=(4, 5)))
+    qkv = [nc.tensor(r.normal(size=(6, 4))) for _ in range(3)]
+    # three segments of unequal length, one of them a single row
+    segments = [(0, 1), (1, 4), (4, 6)]
+    key_mask = np.array([True, True, False, True, True, False])
+
+    def attend(x, slot, mask=None):
+        args = [x if i == slot else t for i, t in enumerate(qkv)]
+        return scalarize(nc.attention(*args, segments, 2, mask))
 
     def scalarize(t):
         return nc.sum_all(nc.mul(t, t)) if t.data.ndim else nc.mul(t, t)
@@ -178,30 +235,37 @@ def test_grad_check_each_op(name):
     cases = {
         "matmul_a": ((4, 5), lambda x: scalarize(nc.matmul(x, mat53))),
         "matmul_b": ((5, 3), lambda x: scalarize(nc.matmul(mat45, x))),
-        "vec_matmul": ((4,), lambda x: scalarize(nc.vec_matmul(x, mat43))),
         "add_bias": ((3,), lambda x: scalarize(nc.add(other, x))),
         "mul": ((4, 3), lambda x: scalarize(nc.mul(x, other))),
         "scale": ((4, 3), lambda x: scalarize(nc.scale(x, -2.5))),
         "sub": ((4, 3), lambda x: scalarize(nc.sub(x, other))),
-        "softmax": ((3, 4), lambda x: scalarize(nc.softmax_rows(x))),
         "layer_norm_x": ((3, 6), lambda x: scalarize(nc.layer_norm(x, vec6a, vec6b))),
         "layer_norm_g": ((6,), lambda g: scalarize(nc.layer_norm(mat36, g,
                                                                  nc.tensor(np.zeros(6))))),
         "layer_norm_b": ((6,), lambda b: scalarize(nc.layer_norm(mat36, nc.tensor(np.ones(6)),
                                                                  b))),
         "gelu": ((4, 3), lambda x: scalarize(nc.gelu(x))),
-        "mean_rows": ((5, 3), lambda x: scalarize(nc.mean_rows(x))),
-        "select_row": ((4, 3), lambda x: scalarize(nc.select_row(x, 2))),
         "slice_rows": ((5, 3), lambda x: scalarize(nc.slice_rows(x, 1, 4))),
-        "slice_cols": ((4, 5), lambda x: scalarize(nc.slice_cols(x, 0, 2))),
         "concat_rows": ((2, 3), lambda x: scalarize(nc.concat_rows([x, other]))),
-        "concat_cols": ((4, 2), lambda x: scalarize(nc.concat_cols([x, other]))),
-        "transpose": ((4, 3), lambda x: scalarize(nc.transpose(x))),
+        "concat_rows_vector": ((3,), lambda x: scalarize(nc.concat_rows([other, x, x]))),
         "gather_rows": ((5, 3), lambda x: scalarize(nc.gather_rows(x, [0, 2, 2, 4]))),
         "cosine_a": ((4,), lambda x: nc.cosine_similarity(x, vec)),
         "cosine_b": ((4,), lambda x: nc.cosine_similarity(vec, x)),
+        "cosine_rows_a": ((4, 5), lambda x: scalarize(nc.cosine_similarity(x, mat45b))),
+        "cosine_rows_b": ((4, 5), lambda x: scalarize(nc.cosine_similarity(mat45b, x))),
         "dot": ((4,), lambda x: nc.dot(x, x)),
         "add_n": ((4, 3), lambda x: scalarize(nc.add_n([x, other, x]))),
+        "segment_mean": ((6, 3), lambda x: scalarize(
+            nc.segment_mean(x, [(0, 2), (2, 3), (4, 6)]))),
+        "segment_mean_all": ((5, 3), lambda x: scalarize(nc.segment_mean(x))),
+        "cross_entropy_rows": ((4, 3), lambda x: nc.sum_all(
+            nc.cross_entropy_logits(x, [2, 0, 1, 1]))),
+        "attention_q": ((6, 4), lambda x: attend(x, 0)),
+        "attention_k": ((6, 4), lambda x: attend(x, 1)),
+        "attention_v": ((6, 4), lambda x: attend(x, 2)),
+        "attention_masked_q": ((6, 4), lambda x: attend(x, 0, key_mask)),
+        "attention_masked_k": ((6, 4), lambda x: attend(x, 1, key_mask)),
+        "attention_masked_v": ((6, 4), lambda x: attend(x, 2, key_mask)),
     }
     shape, f = cases[name]
     _check(f, nc.parameter(r.normal(size=shape)))
@@ -217,7 +281,7 @@ def test_grad_check_three_layer_composition():
     def f(x):
         h = nc.gelu(nc.matmul(x, w1))
         h = nc.layer_norm(nc.matmul(h, w2), gamma, beta)
-        s = nc.softmax_rows(h)
+        s = nc.attention(h, h, h, [(0, 3)], 2)
         return nc.sum_all(nc.mul(s, s))
 
     x = nc.parameter(r.normal(size=(3, 6)))
