@@ -352,14 +352,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
     dh = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    def split(x):  # (n, d) -> (H, n, dh), contiguous per head
-        return np.ascontiguousarray(x.reshape(n, n_heads, dh).transpose(1, 0, 2))
+    def heads(x):  # (n, d) -> (H, n, dh), a view: each head is a column block
+        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
 
-    def merge(x):  # (H, n, dh) -> (n, d)
-        return x.transpose(1, 0, 2).reshape(n, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    out = np.zeros((n_heads, n, dh))
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    out = np.zeros((n, d))
+    out_h = heads(out)
     probs = []
     for lo, hi in spans:
         p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
@@ -369,23 +367,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p /= p.sum(axis=2, keepdims=True)
-        np.matmul(p, vh[:, lo:hi], out=out[:, lo:hi])
+        np.matmul(p, vh[:, lo:hi], out=out_h[:, lo:hi])
         probs.append(p)
 
     def bw(g):
-        gh = split(g)
-        dq, dk, dv = np.zeros_like(qh), np.zeros_like(kh), np.zeros_like(vh)
+        gh = heads(np.ascontiguousarray(g))
+        dq, dk, dv = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+        dqh, dkh, dvh = heads(dq), heads(dk), heads(dv)
         for (lo, hi), p in zip(spans, probs):
-            np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dv[:, lo:hi])
+            np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dvh[:, lo:hi])
             ds = gh[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
             ds -= (ds * p).sum(axis=2, keepdims=True)
             ds *= p
             ds *= inv_sqrt
-            np.matmul(ds, kh[:, lo:hi], out=dq[:, lo:hi])
-            np.matmul(ds.transpose(0, 2, 1), qh[:, lo:hi], out=dk[:, lo:hi])
-        return merge(dq), merge(dk), merge(dv)
+            np.matmul(ds, kh[:, lo:hi], out=dqh[:, lo:hi])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, lo:hi], out=dkh[:, lo:hi])
+        return dq, dk, dv
 
-    return _make(merge(out), (q, k, v), bw)
+    return _make(out, (q, k, v), bw)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:

@@ -294,9 +294,10 @@ def load_checkpoint(path, vocab: Vocabulary):
     arrays, meta = ckpt.load_arrays(path)
     if meta.get("kind") != "train":
         raise ckpt.CheckpointError(f"{path}: not a training checkpoint: {meta.get('kind')!r}")
-    if meta["vocab_hash"] != vocab_hash(vocab):
+    stored_hash = str(meta.get("vocab_hash"))
+    if stored_hash != vocab_hash(vocab):
         raise ckpt.CheckpointError(
-            f"{path}: vocabulary hash mismatch (checkpoint {meta['vocab_hash'][:12]}..., "
+            f"{path}: vocabulary hash mismatch (checkpoint {stored_hash[:12]}..., "
             f"supplied {vocab_hash(vocab)[:12]}...)"
         )
     try:

@@ -310,13 +310,16 @@ def test_eval_bad_manifest_setting_exits_2(corpus_dir, tmp_path, capsys):
     assert run_cli("train", "--data", str(corpus_dir), "--out", str(run_dir),
                    "--seed", "1", *TINY_TRAIN_FLAGS) == 0
     arrays, meta = ckpt.load_arrays(run_dir / "best.ckpt")
-    meta["model"]["mode"] = "nope"
-    ckpt.save_arrays(run_dir / "best.ckpt", arrays, meta)
-    capsys.readouterr()
-    assert run_cli("eval", "--run", str(run_dir), "--data", str(corpus_dir),
-                   "--max-tokens", "64") == 2
-    err = capsys.readouterr().err
-    assert "mode" in err and err.count("\n") == 1
+    for key, edit in (("mode", lambda m: m["model"].update(mode="nope")),
+                      ("vocabulary hash", lambda m: m.pop("vocab_hash"))):
+        broken = json.loads(json.dumps(meta))
+        edit(broken)
+        ckpt.save_arrays(run_dir / "best.ckpt", arrays, broken)
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(run_dir), "--data", str(corpus_dir),
+                       "--max-tokens", "64") == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
 
 
 def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):
