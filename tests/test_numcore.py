@@ -213,7 +213,6 @@ def test_grad_check_each_op(name):
     r = rng(sum(ord(c) for c in name))  # stable across processes
     other = nc.tensor(r.normal(size=(4, 3)))
     vec = nc.tensor(r.normal(size=4))
-    mat43 = nc.tensor(r.normal(size=(4, 3)))
     mat53 = nc.tensor(r.normal(size=(5, 3)))
     mat45 = nc.tensor(r.normal(size=(4, 5)))
     mat36 = nc.tensor(r.normal(size=(3, 6)))
