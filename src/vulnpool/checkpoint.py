@@ -33,11 +33,11 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     blobs = []
     offset = 0
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])  # not ascontiguousarray: it makes 0-d arrays 1-d
         dtype = arr.dtype.newbyteorder("<")
         if dtype.str not in _DTYPES:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for array {name!r}")
-        raw = arr.astype(dtype, copy=False).tobytes()
+        raw = arr.astype(dtype, copy=False).tobytes(order="C")
         entries.append(
             {"name": name, "shape": list(arr.shape), "dtype": dtype.str, "offset": offset}
         )

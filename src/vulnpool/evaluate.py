@@ -223,11 +223,12 @@ def export_embeddings(model, samples, path):
     queries = []
     if ordered:
         with nc.no_grad():
-            x_e, segments = model.embed(ordered)
+            x_e, segments = model.embed(model.tokenize(ordered))
             queries = model.query_vector(x_e, segments).data
+    norms = pl.key_norms(model.keys)
     lines = []
     for s, q in zip(ordered, queries):
-        selection = pl.select(q, model.keys, k=1)
+        selection = pl.select(q, model.keys, 1, norms)
         values = "\t".join(f"{v:.8e}" for v in q)
         lines.append(f"query\t{s.id}\t{s.language.tag}\t{selection.i_star}\t{values}")
     for i, k in enumerate(model.keys.keys):

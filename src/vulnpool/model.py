@@ -7,12 +7,15 @@ during masked training), prepends them to each sequence, runs the encoder
 once over all rows, mean-pools each sample's outputs at its prompt positions
 and applies an affine classifier. The joint loss is cross-entropy minus a
 weighted query/key match term, averaged over the batch. A backbone-only mode
-bypasses the pool and classifies from the [CLS] output row.
+bypasses the pool and classifies from the [CLS] output row. Prediction packs
+samples into forwards of at most PREDICT_ROWS rows, and every row comes out
+as it would for its sample alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +28,11 @@ from .numcore import Tensor
 
 MODES = ("pool_query", "pool_masked", "backbone_only")
 QUERY_SOURCES = ("embed_mean", "embed_cls")
+
+# Packed rows, prompt rows included, of one predict_many forward; a sample
+# longer than this runs alone. Desk-scale evaluate throughput was flat from
+# 512 to 2048 rows, and long inputs gained nothing from more.
+PREDICT_ROWS = 1024
 
 
 @dataclass
@@ -54,6 +62,10 @@ class ModelConfig:
             )
         if not 1 <= self.top_k <= self.pool_size:
             raise ValueError(f"top_k must lie in [1, {self.pool_size}], got {self.top_k}")
+        if self.max_tokens < 2:
+            raise ValueError(
+                f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, got {self.max_tokens}"
+            )
 
 
 @dataclass
@@ -61,8 +73,18 @@ class ForwardResult:
     """One forward pass over a mini-batch of B samples."""
 
     logits: Tensor  # (B, 2)
-    selections: list[pl.Selection] | None  # one per sample; None without a pool
-    phi: Tensor | None  # (B,) differentiable match score of the selected key(s)
+    selections: list[pl.Selection] | None = None  # one per sample; None without a pool
+    query: Tensor | None = None  # (B, d) query rows the selections were made from
+    keys: pl.KeySet | None = None
+
+    @cached_property
+    def phi(self) -> Tensor | None:
+        """(B,) differentiable match score of the selected key(s); None without
+        a pool. Built on first read, in that read's grad mode: only the loss
+        needs it, so prediction never pays for it."""
+        if self.selections is None:
+            return None
+        return pl.surrogate_similarity(self.query, self.keys, self.selections)
 
 
 @dataclass
@@ -135,13 +157,16 @@ class VulnPoolModel:
     # ------------------------------------------------------------------
     # forward / loss / predict
 
-    def embed(self, samples) -> tuple[Tensor, list[tuple[int, int]]]:
-        """Tokenize and embed `samples` back to back: the packed (rows, d)
-        embeddings and each sample's (start, stop) rows."""
+    def tokenize(self, samples) -> list[list[int]]:
+        """Each sample's framed, truncated token ids."""
+        return [tok.encode(s.code, self.vocab, self.config.max_tokens).ids for s in samples]
+
+    def embed(self, seqs) -> tuple[Tensor, list[tuple[int, int]]]:
+        """Embed the token id lists `seqs` back to back: the packed (rows, d)
+        embeddings and each sequence's (start, stop) rows."""
         ids: list[int] = []
         segments = []
-        for s in samples:
-            seq = tok.encode(s.code, self.vocab, self.config.max_tokens).ids
+        for seq in seqs:
             segments.append((len(ids), len(ids) + len(seq)))
             ids.extend(seq)
         return self.encoder.embed(ids, segments), segments
@@ -153,9 +178,11 @@ class VulnPoolModel:
         return nc.segment_mean(x_e, segments)
 
     def _classify(self, pooled: Tensor) -> Tensor:
-        return nc.add(nc.matmul(pooled, self.classifier_w), self.classifier_b)
+        # row-invariant, so a sample's logits do not depend on its batch
+        return nc.add(nc.matmul_rowwise(pooled, self.classifier_w), self.classifier_b)
 
-    def _select(self, q_row: np.ndarray, sample: CodeSample, train_mode: bool) -> pl.Selection:
+    def _select(self, q_row: np.ndarray, sample: CodeSample, train_mode: bool,
+                key_norms: np.ndarray) -> pl.Selection:
         if self.config.mode == "pool_masked" and train_mode:
             if self.assignment is None:
                 raise pl.PoolError(
@@ -163,28 +190,32 @@ class VulnPoolModel:
                     f"(pool_size {self.config.pool_size} cannot cover "
                     f"{len(pl.LANGUAGES)} x {self.config.matrices_per_language})"
                 )
-            return pl.select_masked(q_row, self.keys, self.assignment.indices_for(sample.language))
-        return pl.select(q_row, self.keys, k=self.config.top_k)
+            return pl.select_masked(q_row, self.keys,
+                                    self.assignment.indices_for(sample.language), key_norms)
+        return pl.select(q_row, self.keys, self.config.top_k, key_norms)
 
-    def forward(self, samples, train_mode: bool = False) -> ForwardResult:
-        """One packed graph over the mini-batch `samples`; see ForwardResult."""
+    def forward(self, samples, train_mode: bool = False, seqs=None) -> ForwardResult:
+        """One packed graph over the mini-batch `samples`; see ForwardResult.
+
+        `seqs`, the samples' token ids from `tokenize`, saves tokenizing again."""
         samples = list(samples)
-        x_e, segments = self.embed(samples)
+        x_e, segments = self.embed(self.tokenize(samples) if seqs is None else seqs)
         rng = self._dropout_rng
 
         if self.config.mode == "backbone_only":
             h = self.encoder.encode(x_e, segments, train_mode=train_mode, rng=rng)
             logits = self._classify(nc.gather_rows(h, [lo for lo, _ in segments]))
-            return ForwardResult(logits=logits, selections=None, phi=None)
+            return ForwardResult(logits=logits)
 
         q = self.query_vector(x_e, segments)
-        selections = [self._select(row, s, train_mode) for row, s in zip(q.data, samples)]
+        key_norms = pl.key_norms(self.keys)
+        selections = [self._select(row, s, train_mode, key_norms)
+                      for row, s in zip(q.data, samples)]
         adapted = pl.adapt(selections, self.pool, x_e, segments)
         h = self.encoder.encode(adapted.matrix, adapted.segments, train_mode=train_mode, rng=rng)
         prompts = [(lo, lo + adapted.prompt_len) for lo, _ in adapted.segments]
         logits = self._classify(nc.segment_mean(h, prompts))
-        phi = pl.surrogate_similarity(q, self.keys, selections)
-        return ForwardResult(logits=logits, selections=selections, phi=phi)
+        return ForwardResult(logits=logits, selections=selections, query=q, keys=self.keys)
 
     def loss(self, logits: Tensor, labels, phi: Tensor | None) -> Tensor:
         """Mean joint loss over the batch: cross-entropy minus lam times the
@@ -201,18 +232,44 @@ class VulnPoolModel:
         return self.loss(out.logits, [sample.label], out.phi)
 
     def predict(self, sample: CodeSample) -> Prediction:
-        with nc.no_grad():
-            out = self.forward([sample], train_mode=False)
-        values = out.logits.data[0]
-        shifted = values - values.max()
-        probs = np.exp(shifted) / np.exp(shifted).sum()
-        label = 1 if values[1] > values[0] else 0  # exact ties resolve to 0
-        return Prediction(
-            logits=values.copy(),
-            prob_vulnerable=float(probs[1]),
-            label=label,
-            selection=out.selections[0] if out.selections else None,
-        )
+        return self.predict_many([sample])[0]
 
     def predict_many(self, samples) -> list[Prediction]:
-        return [self.predict(s) for s in samples]
+        """Predict `samples` in order, in packed forwards of at most
+        PREDICT_ROWS rows each.
+
+        Each prediction is bit-equal to predicting its sample alone. Attention,
+        pooling and selection read one sample's rows at a time, row-wise ops
+        are exact per row, and the products are row-invariant: the classifier
+        uses `matmul_rowwise`, and an encoder product always has two rows or
+        more (the [CLS]/[EOS] frame), where BLAS computes a row alike in
+        products of any row count (measured; a one-row product is not)."""
+        samples = list(samples)
+        seqs = self.tokenize(samples)
+        prompt = 0 if self.config.mode == "backbone_only" else (
+            self.config.top_k * self.config.prompt_len)
+        predictions: list[Prediction] = []
+        lo = 0
+        while lo < len(samples):
+            hi, rows = lo + 1, len(seqs[lo]) + prompt
+            while hi < len(samples) and rows + len(seqs[hi]) + prompt <= PREDICT_ROWS:
+                rows += len(seqs[hi]) + prompt
+                hi += 1
+            with nc.no_grad():
+                out = self.forward(samples[lo:hi], seqs=seqs[lo:hi])
+            predictions += _predictions(out)
+            lo = hi
+        return predictions
+
+
+def _predictions(out: ForwardResult) -> list[Prediction]:
+    logits = out.logits.data
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e[:, 1] / e.sum(axis=1)
+    selections = out.selections or [None] * len(logits)
+    return [  # an exact tie of the two logits resolves to label 0
+        Prediction(logits=values, prob_vulnerable=float(p), label=int(values[1] > values[0]),
+                   selection=selection)
+        for values, p, selection in zip(logits, probs, selections)
+    ]

@@ -170,15 +170,35 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _product(a: Tensor, b: Tensor, data_fn, op: str) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} vs {b.shape}")
-    data = a.data @ b.data
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}")
 
     def bw(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _make(data, (a, b), bw)
+    return _make(data_fn(a.data, b.data), (a, b), bw)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    return _product(a, b, np.matmul, "matmul")
+
+
+def _einsum_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,jk->ik", x, y)
+
+
+def matmul_rowwise(a: Tensor, b: Tensor) -> Tensor:
+    """`matmul` whose every output row is independent of the other rows of `a`.
+
+    BLAS picks its kernel, and with it the summation order, by the shape of
+    the product (a one-row product takes a matrix-vector path, and a
+    two-column one rounds by the row count modulo its tile), so a row of
+    `a @ b` can differ in its last bits from the same row multiplied alone.
+    einsum sums each output element in one fixed order, so a row comes out
+    the same in a product of any number of rows. The backward is matmul's.
+    """
+    return _product(a, b, _einsum_product, "matmul_rowwise")
 
 
 def add_n(tensors) -> Tensor:

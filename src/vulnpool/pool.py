@@ -160,18 +160,28 @@ def query(x_e: Tensor, segments=None) -> Tensor:
     return nc.gather_rows(x_e, 0 if segments is None else [lo for lo, _ in segments])
 
 
-def match_scores(q, keys: KeySet) -> np.ndarray:
-    """Cosine similarity of the query against every key (values only)."""
+def key_norms(keys: KeySet) -> np.ndarray:
+    """The norm of every key; a batch computes them once for all its queries.
+    Each is np.linalg.norm's arithmetic for a vector, sqrt(k . k), without
+    its per-call overhead."""
+    norms = np.sqrt([k.data.dot(k.data) for k in keys.keys])
+    if norms.min() < 1e-12:
+        raise PoolError(f"key {np.flatnonzero(norms < 1e-12)[0]} is a zero vector")
+    return norms
+
+
+def match_scores(q, keys: KeySet, norms: np.ndarray | None = None) -> np.ndarray:
+    """Cosine similarity of the query against every key (values only).
+    `norms` are the keys' `key_norms`, computed here when not given."""
     qd = q.data if isinstance(q, Tensor) else np.asarray(q, dtype=float)
     qn = np.linalg.norm(qd)
     if qn < 1e-12:
         raise PoolError("query is a zero vector")
+    if norms is None:
+        norms = key_norms(keys)
     out = np.empty(keys.size)
     for i, k in enumerate(keys.keys):
-        kn = np.linalg.norm(k.data)
-        if kn < 1e-12:
-            raise PoolError(f"key {i} is a zero vector")
-        out[i] = float(qd @ k.data) / (qn * kn)
+        out[i] = float(qd @ k.data) / (qn * norms[i])
     return out
 
 
@@ -180,24 +190,26 @@ def _ranked(scores: np.ndarray, candidates) -> list[int]:
     return sorted(candidates, key=lambda i: (-scores[i], i))
 
 
-def select(q, keys: KeySet, k: int = 1) -> Selection:
-    """Instance-wise selection: the k best-matching keys, best first."""
+def select(q, keys: KeySet, k: int = 1, norms: np.ndarray | None = None) -> Selection:
+    """Instance-wise selection: the k best-matching keys, best first.
+    `norms` as in `match_scores`."""
     if not 1 <= k <= keys.size:
         raise PoolError(f"k must lie in [1, {keys.size}], got {k}")
-    scores = match_scores(q, keys)
+    scores = match_scores(q, keys, norms)
     order = _ranked(scores, range(keys.size))[:k]
     return Selection(tuple(order), tuple(float(scores[i]) for i in order))
 
 
-def select_masked(q, keys: KeySet, allowed) -> Selection:
-    """Selection restricted to the language's candidate indices."""
+def select_masked(q, keys: KeySet, allowed, norms: np.ndarray | None = None) -> Selection:
+    """Selection restricted to the language's candidate indices.
+    `norms` as in `match_scores`."""
     allowed = list(allowed)
     if not allowed:
         raise PoolError("allowed index list is empty")
     for i in allowed:
         if not 0 <= i < keys.size:
             raise PoolError(f"allowed index {i} out of range [0, {keys.size})")
-    scores = match_scores(q, keys)
+    scores = match_scores(q, keys, norms)
     best = _ranked(scores, allowed)[0]
     return Selection((best,), (float(scores[best]),))
 

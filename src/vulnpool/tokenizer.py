@@ -92,6 +92,9 @@ def build_vocab(corpus, max_size: int) -> Vocabulary:
 
 def encode(code: str, vocab: Vocabulary, max_tokens: int = 512) -> TokenSequence:
     """Encode text as [CLS] + body + [EOS], truncating the body from the right."""
+    if max_tokens < 2:
+        raise TokenizerError(f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, "
+                             f"got {max_tokens}")
     body = [vocab.id_of(tok) for tok in tokenize(code)]
     if len(body) > max_tokens - 2:
         body = body[: max_tokens - 2]

@@ -80,10 +80,15 @@ def test_manifest_length_beyond_file_raises_checkpoint_error(tmp_path):
 
 def test_round_trip_still_exact(tmp_path):
     arrays = {"b": np.arange(6.0).reshape(2, 3), "a": np.array([1, 2], dtype=np.int64),
-              "empty": np.zeros((0, 4))}
+              "empty": np.zeros((0, 4)), "scalar": np.array(2.5),
+              "strided": np.arange(12.0).reshape(3, 4)[:, ::2]}
     path = tmp_path / "ok.ckpt"
     ckpt.save_arrays(path, arrays, {"k": 1})
     loaded, meta = ckpt.load_arrays(path)
     assert meta == {"k": 1}
     for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape, name
         assert np.array_equal(loaded[name], arr) and loaded[name].dtype == arr.dtype
+    again = tmp_path / "again.ckpt"
+    ckpt.save_arrays(again, loaded, meta)
+    assert again.read_bytes() == path.read_bytes()

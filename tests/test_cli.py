@@ -43,6 +43,9 @@ def test_config_rejects_out_of_range_values():
         RunConfig(ratios=(0.5, 0.2, 0.2)).validate()
     with pytest.raises(ConfigError, match="max_positions"):
         RunConfig(max_positions=100).validate()
+    for max_tokens in (0, 1):
+        with pytest.raises(ConfigError, match="max_tokens"):
+            RunConfig(max_tokens=max_tokens).validate()
 
 
 def test_config_file_then_flag_precedence(tmp_path):
@@ -130,6 +133,14 @@ def test_non_finite_setting_exits_1(key, value, tmp_path, capsys):
                    f"{config_flags(key)[0]}={raw}") == 1
     err = capsys.readouterr().err
     assert "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("max_tokens", ["0", "1"])
+def test_max_tokens_below_frame_exits_1(max_tokens, tmp_path, capsys):
+    assert run_cli("synth", "--out", str(tmp_path / "x.jsonl"),
+                   "--max-tokens", max_tokens) == 1
+    err = capsys.readouterr().err
+    assert "max_tokens" in err and err.count("\n") == 1
 
 
 def test_config_file_out_of_range_dropout_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pathlib
 
@@ -6,6 +7,7 @@ import pytest
 
 from vulnpool import checkpoint as ckpt
 from vulnpool import corpus
+from vulnpool import model as model_module
 from vulnpool import numcore as nc
 from vulnpool import pool as pl
 from vulnpool import tokenizer as tok
@@ -130,6 +132,63 @@ def test_batch_predict_equals_per_sample(small_corpus):
         assert np.array_equal(a.logits, b.logits)
         assert a.label == b.label
         assert a.selection.indices == b.selection.indices
+
+
+@pytest.mark.parametrize("mode, top_k", [("pool_query", 2), ("pool_masked", 1),
+                                          ("backbone_only", 1)])
+@pytest.mark.parametrize("budget", [1, 90, 10**5])
+def test_predict_many_in_chunks_equals_per_sample(small_corpus, monkeypatch, mode, top_k,
+                                                 budget):
+    # joined samples are truncated at max_tokens, and longer than a 90-row
+    # budget: each makes a chunk of its own
+    joined = [dataclasses.replace(small_corpus[i], id=f"joined-{i}", code="\n".join(
+        t.code for t in small_corpus[i:i + 4])) for i in range(0, 36, 9)]
+    samples = small_corpus[:14] + joined[:2] + small_corpus[14:] + joined[2:]
+    model = build_tiny_model(samples, mode=mode, top_k=top_k, max_tokens=100,
+                             max_positions=106)
+    singles = [model.predict(s) for s in samples]
+
+    chunks = []
+    forward = model.forward
+
+    def recording_forward(chunk, **kw):
+        chunks.append(len(chunk))
+        return forward(chunk, **kw)
+
+    monkeypatch.setattr(model, "forward", recording_forward)
+    monkeypatch.setattr(model_module, "PREDICT_ROWS", budget)
+    batched = model.predict_many(samples)
+
+    prompt = 0 if mode == "backbone_only" else top_k * model.config.prompt_len
+    rows = [len(seq) + prompt for seq in model.tokenize(samples)]
+    assert max(rows) > 90 and any(n == 100 for n in map(len, model.tokenize(samples)))
+    assert sum(chunks) == len(samples)
+    lo = 0
+    for n in chunks:  # each chunk is greedy: within budget, or one long sample
+        assert n == 1 or sum(rows[lo:lo + n]) <= budget
+        assert lo + n == len(samples) or sum(rows[lo:lo + n + 1]) > budget
+        lo += n
+    if budget == 90:
+        assert 1 < len(chunks) < len(samples)
+
+    assert len(batched) == len(singles)
+    for a, b in zip(batched, singles):
+        assert np.array_equal(a.logits, b.logits)
+        assert a.prob_vulnerable == b.prob_vulnerable and a.label == b.label
+        if mode == "backbone_only":
+            assert a.selection is None and b.selection is None
+        else:
+            assert a.selection == b.selection
+
+
+def test_predict_never_builds_the_match_term(small_corpus, monkeypatch):
+    model = build_tiny_model(small_corpus)
+    calls = []
+    monkeypatch.setattr(pl, "surrogate_similarity", lambda *args: calls.append(args))
+    model.predict_many(small_corpus[:3])
+    assert calls == []
+    out = model.forward(small_corpus[:3])
+    assert out.phi is out.phi and len(calls) == 1  # built on first read, then kept
 
 
 def test_forward_is_deterministic(small_corpus):

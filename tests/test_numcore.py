@@ -99,6 +99,19 @@ def test_batched_rows_match_one_at_a_time():
             nc.cosine_similarity(nc.tensor(a[i]), nc.tensor(b[i])).item(), abs=1e-14)
 
 
+@pytest.mark.parametrize("width, cols", [(16, 2), (32, 2), (64, 2), (32, 64)])
+def test_matmul_rowwise_rows_do_not_depend_on_row_count(width, cols):
+    r = rng(width + cols)
+    a = r.normal(size=(40, width))
+    b = nc.tensor(r.normal(size=(width, cols)))
+    alone = [nc.matmul_rowwise(nc.tensor(a[i:i + 1]), b).data[0] for i in range(len(a))]
+    assert np.allclose(np.stack(alone), a @ b.data, rtol=1e-13, atol=1e-15)
+    for n in range(1, 34):
+        for lo in (0, 40 - n):
+            rows = nc.matmul_rowwise(nc.tensor(a[lo:lo + n]), b).data
+            assert np.array_equal(rows, np.stack(alone[lo:lo + n])), (n, lo)
+
+
 def test_segment_mean_values():
     x = rng(6).normal(size=(6, 3))
     out = nc.segment_mean(nc.tensor(x), [(0, 2), (2, 3), (4, 6)]).data
@@ -133,6 +146,8 @@ def test_shape_errors_name_both_shapes():
     b = nc.tensor(np.zeros((4, 5)))
     with pytest.raises(nc.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
         nc.matmul(a, b)
+    with pytest.raises(nc.ShapeError, match=r"matmul_rowwise: .*\(2, 3\).*\(4, 5\)"):
+        nc.matmul_rowwise(a, b)
     with pytest.raises(nc.ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
         nc.add(a, b)
 
@@ -201,7 +216,7 @@ def test_grad_check_cross_entropy_r2():
 
 @pytest.mark.parametrize(
     "name",
-    ["matmul_a", "matmul_b", "add_bias", "mul", "scale", "sub",
+    ["matmul_a", "matmul_b", "matmul_rowwise_a", "matmul_rowwise_b", "add_bias", "mul", "scale", "sub",
      "layer_norm_x", "layer_norm_g", "layer_norm_b", "gelu",
      "slice_rows", "concat_rows", "concat_rows_vector", "gather_rows",
      "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b", "dot", "add_n",
@@ -234,6 +249,8 @@ def test_grad_check_each_op(name):
     cases = {
         "matmul_a": ((4, 5), lambda x: scalarize(nc.matmul(x, mat53))),
         "matmul_b": ((5, 3), lambda x: scalarize(nc.matmul(mat45, x))),
+        "matmul_rowwise_a": ((4, 5), lambda x: scalarize(nc.matmul_rowwise(x, mat53))),
+        "matmul_rowwise_b": ((5, 3), lambda x: scalarize(nc.matmul_rowwise(mat45, x))),
         "add_bias": ((3,), lambda x: scalarize(nc.add(other, x))),
         "mul": ((4, 3), lambda x: scalarize(nc.mul(x, other))),
         "scale": ((4, 3), lambda x: scalarize(nc.scale(x, -2.5))),

@@ -122,6 +122,29 @@ def test_select_zero_query_rejected():
         pl.select(np.zeros(4), keys)
 
 
+def test_select_zero_key_rejected():
+    keys = make_keys([np.ones(4), np.zeros(4), np.ones(4)])
+    with pytest.raises(pl.PoolError, match="key 1 is a zero vector"):
+        pl.key_norms(keys)
+    with pytest.raises(pl.PoolError, match="key 1 is a zero vector"):
+        pl.select(np.ones(4), keys)
+
+
+def test_select_with_key_norms_once_is_bit_identical():
+    keys = random_keys(7, 8, seed=12)
+    norms = pl.key_norms(keys)
+    r = np.random.default_rng(13)
+    for _ in range(50):
+        q = r.normal(size=8)
+        order, scores = brute_force_rank(q, keys)
+        top = pl.select(q, keys, 3, norms)
+        assert top == pl.select(q, keys, 3)
+        assert top.scores == tuple(scores[i] for i in order[:3])
+        masked = pl.select_masked(q, keys, [2, 5], norms)
+        assert masked == pl.select_masked(q, keys, [2, 5])
+        assert masked.scores == (max(scores[2], scores[5]),)
+
+
 def test_select_scale_invariance():
     r = np.random.default_rng(11)
     for trial in range(100):

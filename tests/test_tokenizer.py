@@ -60,6 +60,18 @@ def test_encode_empty_body():
     assert len(seq) == 2
 
 
+def test_encode_keeps_the_two_row_frame_at_any_budget():
+    # every sequence has at least the [CLS] and [EOS] rows, so no encoder
+    # product is ever a one-row product
+    vocab = small_vocab(["a b"])
+    for max_tokens in (2, 3, 512):
+        assert len(tok.encode("", vocab, max_tokens).ids) == 2
+    assert tok.encode("a b a", vocab, 2).ids == [vocab.cls_id, vocab.eos_id]
+    for max_tokens in (1, 0, -3):
+        with pytest.raises(tok.TokenizerError, match="max_tokens"):
+            tok.encode("a b a", vocab, max_tokens)
+
+
 def test_encode_simple():
     vocab = small_vocab(["a b"])
     seq = tok.encode("a b", vocab)
