@@ -126,24 +126,13 @@ class Encoder:
         return nc.add(tok_rows, pos_rows)
 
     def _linear(self, x: Tensor, w: str, b: str) -> Tensor:
-        return nc.add(nc.matmul(x, self.params[w]), self.params[b])
+        return nc.linear(x, self.params[w], self.params[b])
 
-    def encode(self, x: Tensor, segments=None, mask=None, train_mode: bool = False,
-               rng=None) -> Tensor:
+    def encode(self, x: Tensor, segments=None, train_mode: bool = False, rng=None) -> Tensor:
         """Run the pre-norm encoder stack over one sequence, or over several
         packed back to back as `segments` (see `embed`); rows attend only
-        within their own sequence. Masked positions receive zero attention
-        weight from every query. Output shape equals input shape."""
-        rows = x.shape[0]
-        spans = self._segments(segments, rows)
-        key_mask = None
-        if mask is not None:
-            mask = np.asarray(list(mask), dtype=bool)
-            if len(mask) != rows:
-                raise ValueError(f"mask length {len(mask)} does not match input rows {rows}")
-            if not mask.all():
-                key_mask = mask
-
+        within their own sequence. Output shape equals input shape."""
+        spans = self._segments(segments, x.shape[0])
         drop = self.config.dropout_rate if train_mode else 0.0
         for layer in range(self.config.n_layers):
             p = f"enc.{layer}."
@@ -151,7 +140,7 @@ class Encoder:
             q = self._linear(normed, p + "attn.wq", p + "attn.bq")
             k = self._linear(normed, p + "attn.wk", p + "attn.bk")
             v = self._linear(normed, p + "attn.wv", p + "attn.bv")
-            merged = nc.attention(q, k, v, spans, self.config.n_heads, key_mask)
+            merged = nc.attention(q, k, v, spans, self.config.n_heads)
             attn_out = self._linear(merged, p + "attn.wo", p + "attn.bo")
             if drop > 0.0:
                 attn_out = nc.dropout(attn_out, drop, rng)
@@ -176,8 +165,11 @@ class Encoder:
         arrays, meta = ckpt.load_arrays(path)
         if meta.get("kind") != "encoder":
             raise ckpt.CheckpointError(f"{path}: not an encoder checkpoint: {meta.get('kind')!r}")
-        config = EncoderConfig(**meta["config"])
-        vocab_size = int(meta["vocab_size"])
+        try:
+            config = EncoderConfig(**meta["config"])
+            vocab_size = int(meta["vocab_size"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ckpt.CheckpointError(f"{path}: bad encoder manifest: {e}") from None
         ckpt.check_shapes(arrays, _param_shapes(config, vocab_size), where=str(path))
         params = {name: nc.parameter(arr) for name, arr in arrays.items()}
         return cls(config, vocab_size, params)

@@ -81,9 +81,6 @@ class Tensor:
     def __neg__(self):
         return scale(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
@@ -170,35 +167,42 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, (a,), bw)
 
 
-def _product(a: Tensor, b: Tensor, data_fn, op: str) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} vs {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine layer `x @ w + b` as one node: (n, k) @ (k, m) + (m,) -> (n, m).
+
+    The bias is added in place to the product, so the layer keeps one
+    (n, m) array, not the product and the sum. Each element equals
+    `(x @ w)[i, j] + b[j]`, the value of the two-op form, bit for bit.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    data = x.data @ w.data
+    data += b.data
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-    return _make(data_fn(a.data, b.data), (a, b), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    return _product(a, b, np.matmul, "matmul")
-
-
-def _einsum_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk->ik", x, y)
+    return _make(data, (x, w, b), bw)
 
 
 def matmul_rowwise(a: Tensor, b: Tensor) -> Tensor:
-    """`matmul` whose every output row is independent of the other rows of `a`.
+    """Matrix product whose every output row is independent of the other rows of `a`.
 
     BLAS picks its kernel, and with it the summation order, by the shape of
     the product (a one-row product takes a matrix-vector path, and a
     two-column one rounds by the row count modulo its tile), so a row of
     `a @ b` can differ in its last bits from the same row multiplied alone.
     einsum sums each output element in one fixed order, so a row comes out
-    the same in a product of any number of rows. The backward is matmul's.
+    the same in a product of any number of rows.
     """
-    return _product(a, b, _einsum_product, "matmul_rowwise")
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul_rowwise: incompatible shapes {a.shape} vs {b.shape}")
+
+    def bw(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _make(np.einsum("ij,jk->ik", a.data, b.data), (a, b), bw)
 
 
 def add_n(tensors) -> Tensor:
@@ -242,21 +246,47 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Smooth tanh-form GELU; smoothness keeps finite-difference checks clean."""
+    """Smooth tanh-form GELU; smoothness keeps finite-difference checks clean.
+
+    Keeps only the tanh array for backward, which recomputes x^2 and (1 + t) / 2.
+    """
     x = a.data
-    x2 = x * x
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x2 * x)))
-    data = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= 0.5
+    data *= x
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner),)
+        # d/dx = (1 + t) / 2 + x (1 - t^2) C (1 + 3 * 0.044715 x^2) / 2
+        inner = x * x
+        inner *= 0.134145
+        inner += 1.0
+        inner *= _GELU_C
+        dx = t * t
+        np.subtract(1.0, dx, out=dx)
+        dx *= inner
+        dx *= x
+        np.add(t, 1.0, out=inner)
+        dx += inner
+        dx *= 0.5
+        dx *= g
+        return (dx,)
 
     return _make(data, (a,), bw)
 
 
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization with affine parameters gamma/beta."""
+    """Row-wise layer normalization with affine parameters gamma/beta.
+
+    Keeps the normalized rows and each row's 1/std for backward; the
+    variance and the backward's products are einsum reductions, with no
+    squared temporary.
+    """
     if a.data.ndim != 2:
         raise ShapeError(f"layer_norm: expected 2-D input, got {a.shape}")
     d = a.shape[1]
@@ -265,24 +295,21 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
         )
     # sum / d is what ndarray.mean computes, without its Python-level wrapper
-    mean = a.data.sum(axis=1, keepdims=True) / d
-    xc = a.data - mean
-    var = (xc**2).sum(axis=1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    data = xhat * gamma.data + beta.data
+    xhat = a.data - a.data.sum(axis=1, keepdims=True) / d
+    var = np.einsum("ij,ij->i", xhat, xhat) / d
+    inv_std = 1.0 / np.sqrt(var + eps)[:, None]
+    xhat *= inv_std
+    data = xhat * gamma.data
+    data += beta.data
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=0)
-        dbeta = g.sum(axis=0)
         dxhat = g * gamma.data
         # standard layer-norm backward: project out mean and xhat components
-        dx = (
-            dxhat
-            - dxhat.sum(axis=1, keepdims=True) / d
-            - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
-        ) * inv_std
-        return dx, dgamma, dbeta
+        dx = xhat * (np.einsum("ij,ij->i", dxhat, xhat)[:, None] / d)
+        dx += dxhat.sum(axis=1, keepdims=True) / d
+        np.subtract(dxhat, dx, out=dx)
+        dx *= inv_std
+        return dx, np.einsum("ij,ij->j", g, xhat), g.sum(axis=0)
 
     return _make(data, (a, gamma, beta), bw)
 
@@ -348,16 +375,15 @@ def segment_mean(a: Tensor, segments=None) -> Tensor:
     return _make(data[0] if segments is None else data, (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
-              key_mask=None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention within row segments.
 
     `q`, `k`, `v` are (n, d) with the heads side by side in the columns; a row
-    attends only to the rows of its own (start, stop) segment. `key_mask`, an
-    (n,) boolean array, marks the rows that may be attended to: the others
-    get exactly zero weight. The output is (n, d), heads merged. Only the
-    softmax probabilities, one (n_heads, S, S) array per segment, are kept
-    for the backward pass.
+    attends only to the rows of its own (start, stop) segment. The output is
+    (n, d), heads merged. The softmax probabilities, one (n_heads, S, S)
+    array per segment, are all it keeps for backward. The backward uses
+    rowsum(dP * P) = rowsum(dO * O) (FlashAttention, Dao et al. 2022): one
+    (n_heads, n) array in place of a per-segment (n_heads, S, S) product.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
@@ -365,43 +391,40 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible into {n_heads} heads")
     spans = _segments(segments, n, "attention")
-    if key_mask is not None:
-        key_mask = np.asarray(key_mask, dtype=bool)
-        if key_mask.shape != (n,):
-            raise ShapeError(f"attention: key mask shape {key_mask.shape} vs {n} rows")
     dh = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
     def heads(x):  # (n, d) -> (H, n, dh), a view: each head is a column block
         return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh = heads(q.data * inv_sqrt)
+    kh, vh = heads(k.data), heads(v.data)
     out = np.zeros((n, d))
     out_h = heads(out)
     probs = []
     for lo, hi in spans:
         p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
-        p *= inv_sqrt
-        if key_mask is not None and not key_mask[lo:hi].all():
-            p[:, :, ~key_mask[lo:hi]] = -np.inf
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=2, keepdims=True)
+        p *= 1.0 / p.sum(axis=2, keepdims=True)
         np.matmul(p, vh[:, lo:hi], out=out_h[:, lo:hi])
         probs.append(p)
 
     def bw(g):
         gh = heads(np.ascontiguousarray(g))
+        rowsum = np.einsum("hnd,hnd->hn", gh, out_h)[:, :, None]  # rowsum(dP * P)
+        qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)  # q unscaled: see below
         dq, dk, dv = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
         dqh, dkh, dvh = heads(dq), heads(dk), heads(dv)
         for (lo, hi), p in zip(spans, probs):
             np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dvh[:, lo:hi])
             ds = gh[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
-            ds -= (ds * p).sum(axis=2, keepdims=True)
+            ds -= rowsum[:, lo:hi]
             ds *= p
-            ds *= inv_sqrt
             np.matmul(ds, kh[:, lo:hi], out=dqh[:, lo:hi])
             np.matmul(ds.transpose(0, 2, 1), qh[:, lo:hi], out=dkh[:, lo:hi])
+        dq *= inv_sqrt  # the 1/sqrt(dh) of the scores, applied once
+        dk *= inv_sqrt
         return dq, dk, dv
 
     return _make(out, (q, k, v), bw)

@@ -201,6 +201,7 @@ def train(
         losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [split.train[i] for i in order[lo : lo + config.batch_size]]
+            # frees the last batch's graph; a `del loss` at backward cut RSS but refaulted the heap
             loss = _mean_batch_loss(model, batch, selections)
             value = loss.item()
             if not math.isfinite(value):
