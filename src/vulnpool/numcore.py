@@ -380,10 +380,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor
 
     `q`, `k`, `v` are (n, d) with the heads side by side in the columns; a row
     attends only to the rows of its own (start, stop) segment. The output is
-    (n, d), heads merged. The softmax probabilities, one (n_heads, S, S)
-    array per segment, are all it keeps for backward. The backward uses
-    rowsum(dP * P) = rowsum(dO * O) (FlashAttention, Dao et al. 2022): one
-    (n_heads, n) array in place of a per-segment (n_heads, S, S) product.
+    (n, d), heads merged. Besides its inputs it keeps the softmax
+    probabilities, one (n_heads, S, S) array per segment, for backward. The
+    backward uses rowsum(dP * P) = rowsum(dO * O) (FlashAttention, Dao et al.
+    2022): one (n_heads, n) array in place of a per-segment (n_heads, S, S)
+    product. So backward also reads the output array, which no later op may
+    change in place.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")

@@ -2,10 +2,10 @@
 """Alternating parent/change pairs of the benchmark, summarised as BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --label pr7 \\
-        --run long_train:201-210 --run desk_train:221-230 --seconds 30
+        --run long_train:201-210 --run desk_train:221-230
 
-Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in the
-parent checkout and once in the change checkout (by default the one holding
+Each pair runs `perfbench/run.py --workload W --seed S --trace 0` (run length
+is the benchmark's own default) once in the parent checkout and once in the change checkout (by default the one holding
 this script), alternating which side runs first. Per workload and end-to-end
 metric, the file gives each side's median and quartiles over the pairs, the
 ratio of the change's median to the parent's, the pairs in which the change
@@ -27,6 +27,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+BENCH_COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0"
+TIER1_COMMAND = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
 
 
 def seed_range(text: str) -> tuple[str, list[int]]:
@@ -47,10 +49,10 @@ def tier1(text: str) -> dict:
     return {"passed": int(passed), "seconds": float(seconds)}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run; its last output line, or a failure record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -126,12 +128,12 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="output is BENCH_<label>.json")
     parser.add_argument("--run", type=seed_range, action="append", required=True,
                         metavar="WORKLOAD:FIRST-LAST", help="a workload and its pair seeds")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--what", default="", help="what the change does, one line")
     parser.add_argument("--host", default="", help="the host the pairs ran on")
-    parser.add_argument("--parent-commit", default=None)
-    parser.add_argument("--tier1-parent", type=tier1, metavar="PASSED:SECONDS")
-    parser.add_argument("--tier1-change", type=tier1, metavar="PASSED:SECONDS")
+    parser.add_argument("--tier1-parent", type=tier1, metavar="PASSED:SECONDS",
+                        help=f"tests passed and wall seconds of `{TIER1_COMMAND}` on the parent")
+    parser.add_argument("--tier1-change", type=tier1, metavar="PASSED:SECONDS",
+                        help="the same on the change")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
 
@@ -144,9 +146,8 @@ def main(argv=None) -> int:
     out_path = args.out or checkouts["change"] / f"BENCH_{args.label}.json"
     report = {
         "what": args.what,
-        "parent_commit": args.parent_commit or git_commit(checkouts["parent"]),
-        "command": f"python3 perfbench/run.py --workload <workload> --seed <seed> "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "parent_commit": git_commit(checkouts["parent"]),
+        "command": BENCH_COMMAND,
         "host": args.host,
         "statistic": "median and quartiles [q1, q3] (inclusive method) over the pairs; "
                      "ratio is change median / parent median; change_better_in counts "
@@ -154,7 +155,8 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     if args.tier1_parent or args.tier1_change:
-        report["tier1"] = {"parent": args.tier1_parent, "change": args.tier1_change}
+        report["tier1"] = {"command": TIER1_COMMAND,
+                           "parent": args.tier1_parent, "change": args.tier1_change}
 
     pair_index = 0
     for workload, seeds in args.run:
@@ -165,7 +167,7 @@ def main(argv=None) -> int:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 t0 = time.perf_counter()
-                pair[side] = run_once(checkouts[side], workload, seed, args.seconds)
+                pair[side] = run_once(checkouts[side], workload, seed)
                 print(f"{workload} seed {seed} {side}: {time.perf_counter() - t0:.0f} s, "
                       f"{pair[side].get('error') or pair[side]['metrics']}",
                       file=sys.stderr, flush=True)
