@@ -8,12 +8,16 @@ Layout:
 
 The manifest is serialized with sorted keys and no whitespace, and arrays
 are stored in sorted-name order, so save -> load -> save is byte-identical.
+A save writes a temporary file beside the target and renames it over the
+target, so a failed or killed save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -46,12 +50,20 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
     manifest = json.dumps(
         {"meta": meta or {}, "arrays": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<Q", len(manifest)))
-        f.write(manifest)
-        for raw in blobs:
-            f.write(raw)
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<Q", len(manifest)))
+            f.write(manifest)
+            for raw in blobs:
+                f.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _entry(e) -> tuple[str, str, tuple[int, ...], int]:

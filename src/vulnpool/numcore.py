@@ -9,6 +9,7 @@ have headroom.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -16,6 +17,36 @@ from dataclasses import dataclass
 import numpy as np
 
 DTYPE = np.float64
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap():
+    """Keep freed heap memory in the process instead of returning it per batch.
+
+    Each mini-batch graph is freed at backward and the next one is about as
+    large. With glibc's dynamic thresholds, the free trims the heap top and
+    the next forward faults the same pages back in; arrays that grew past the
+    adaptive mmap threshold are unmapped and mapped again. Fixed thresholds
+    keep both in place: arrays up to 32 MiB come from the heap, and the heap
+    top is trimmed only past 512 MiB. Setting either one turns off the dynamic
+    threshold, so both are set, and the trim threshold only once the mmap
+    threshold is accepted: alone it would leave every array over 128 KiB
+    mmapped and unmapped per batch. A long-lived process keeps its peak
+    heap. Where the C library has no mallopt (not glibc), nothing changes."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1:  # mallopt returns 1 on success
+        mallopt(_M_TRIM_THRESHOLD, 512 << 20)
+
+
+_keep_freed_heap()
 
 # Gradient recording is on unless suspended via no_grad(); reductions rely on
 # numpy's fixed sequential evaluation order for bit-determinism.

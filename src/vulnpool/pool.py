@@ -124,12 +124,6 @@ class LanguageAssignment:
     def to_record(self) -> dict:
         return {lang.tag: list(idxs) for lang, idxs in self.mapping.items()}
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "LanguageAssignment":
-        from .corpus import parse_language
-
-        return cls({parse_language(tag): tuple(idxs) for tag, idxs in rec.items()})
-
 
 @dataclass
 class Selection:

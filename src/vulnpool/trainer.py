@@ -157,12 +157,27 @@ def _epoch_order(n: int, seed: int, epoch: int) -> list[int]:
     return order
 
 
-def _mean_batch_loss(model: VulnPoolModel, batch, collect: Counter | None):
+def _train_step(model: VulnPoolModel, batch, collect: Counter, epoch: int, index: int) -> float:
+    """Forward, loss and backward of one mini-batch; returns the loss.
+
+    The batch's autodiff graph is referenced only from this frame, so it is
+    freed when backward returns, before the next forward or validation
+    builds another. A non-finite loss raises before backward."""
     out = model.forward(batch, train_mode=True)
-    if collect is not None and out.selections is not None:
+    if out.selections is not None:
         for s, selection in zip(batch, out.selections):
             collect[(s.language.tag, selection.i_star)] += 1
-    return model.loss(out.logits, [s.label for s in batch], out.phi)
+    loss = model.loss(out.logits, [s.label for s in batch], out.phi)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise TrainingDivergedError(
+            f"non-finite loss {value} at epoch {epoch} batch {index}",
+            epoch=epoch,
+            batch=index,
+            sample_ids=[s.id for s in batch],
+        )
+    nc.backward(loss)
+    return value
 
 
 def train(
@@ -201,23 +216,16 @@ def train(
         losses = []
         for lo in range(0, len(order), config.batch_size):
             batch = [split.train[i] for i in order[lo : lo + config.batch_size]]
-            # frees the last batch's graph; a `del loss` at backward cut RSS but refaulted the heap
-            loss = _mean_batch_loss(model, batch, selections)
-            value = loss.item()
-            if not math.isfinite(value):
+            try:
+                value = _train_step(model, batch, selections, epoch, lo // config.batch_size)
+            except TrainingDivergedError:
                 if run_dir is not None:
                     save_checkpoint(model, state, os.path.join(run_dir, "diverged.ckpt"),
                                     epochs_done=epoch)
-                raise TrainingDivergedError(
-                    f"non-finite loss {value} at epoch {epoch} batch {lo // config.batch_size}",
-                    epoch=epoch,
-                    batch=lo // config.batch_size,
-                    sample_ids=[s.id for s in batch],
-                )
+                raise
             if history.initial_train_loss is None:
                 history.initial_train_loss = value
             losses.append(value)
-            nc.backward(loss)
             for name, p in model.parameters():
                 if p.grad is not None:
                     touched.add(name)
@@ -313,6 +321,12 @@ def load_checkpoint(path, vocab: Vocabulary):
             f"pool matrices have {stored_lp} rows"
         )
     model = VulnPoolModel(model_config, enc_config, vocab)
+    rebuilt = model.assignment.to_record() if model.assignment else None
+    if meta.get("assignment") != rebuilt:
+        raise ckpt.CheckpointError(
+            f"{path}: manifest field 'assignment' is {meta.get('assignment')} but the model "
+            f"settings give {rebuilt}"
+        )
     expected = {name: p.data.shape for name, p in model.parameters()}
     params = {k: a for k, a in arrays.items() if not k.startswith("adam.")}
     ckpt.check_shapes(params, expected, where=str(path))

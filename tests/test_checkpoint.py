@@ -92,3 +92,36 @@ def test_round_trip_still_exact(tmp_path):
     again = tmp_path / "again.ckpt"
     ckpt.save_arrays(again, loaded, meta)
     assert again.read_bytes() == path.read_bytes()
+    ckpt.save_arrays(path, loaded, meta)  # over an existing file
+    assert again.read_bytes() == path.read_bytes()
+
+
+class _FullDisk:
+    """A binary file whose second write fails, as on a full disk."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(28, "No space left on device")
+        return self.file.write(data)
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    ckpt.save_arrays(path, {"w": np.arange(4.0)}, {"epoch": 1})
+    before = path.read_bytes()
+    monkeypatch.setattr(ckpt, "open", _FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        ckpt.save_arrays(path, {"w": np.ones(8)}, {"epoch": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

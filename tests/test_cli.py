@@ -322,7 +322,9 @@ def test_eval_bad_manifest_setting_exits_2(corpus_dir, tmp_path, capsys):
                    "--seed", "1", *TINY_TRAIN_FLAGS) == 0
     arrays, meta = ckpt.load_arrays(run_dir / "best.ckpt")
     for key, edit in (("mode", lambda m: m["model"].update(mode="nope")),
-                      ("vocabulary hash", lambda m: m.pop("vocab_hash"))):
+                      ("vocabulary hash", lambda m: m.pop("vocab_hash")),
+                      ("assignment", lambda m: m["assignment"].update(
+                          C=m["assignment"]["Go"], Go=m["assignment"]["C"]))):
         broken = json.loads(json.dumps(meta))
         edit(broken)
         ckpt.save_arrays(run_dir / "best.ckpt", arrays, broken)

@@ -376,3 +376,29 @@ def test_grad_check_retry_does_not_mask_wrong_gradients():
     x = nc.parameter(rng(32).normal(size=4) + 3.0)
     report = nc.grad_check(f, x, eps=1e-5, tol=1e-4, retry_eps=(1e-4, 1e-3))
     assert not report.passed
+
+
+def test_allocator_setting_skipped_where_libc_has_no_mallopt(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(nc.ctypes, "CDLL", NoMallopt)
+    nc._keep_freed_heap()  # not glibc: nothing is set and nothing raises
+
+
+def test_trim_threshold_not_set_when_mmap_threshold_rejected(monkeypatch):
+    calls = []
+
+    class Mallopt:
+        def __call__(self, param, value):
+            calls.append(param)
+            return 0  # rejected, as glibc does for a threshold above its limit
+
+    class RejectingLibc:
+        def __init__(self, name):
+            self.mallopt = Mallopt()
+
+    monkeypatch.setattr(nc.ctypes, "CDLL", RejectingLibc)
+    nc._keep_freed_heap()
+    assert calls == [nc._M_MMAP_THRESHOLD]  # trim alone would mmap every array > 128 KiB

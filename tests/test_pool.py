@@ -258,12 +258,6 @@ def test_assignment_validation_catches_missing_language():
         pl.LanguageAssignment(mapping).validate(pool_size=7)
 
 
-def test_assignment_record_round_trip():
-    assignment = pl.LanguageAssignment.default(per_language=3)
-    again = pl.LanguageAssignment.from_record(assignment.to_record())
-    assert again.mapping == assignment.mapping
-
-
 def test_keyset_reinit_zero_keys():
     keys = make_keys([np.zeros(4), np.ones(4)])
     redone = keys.reinit_zero_keys(np.random.default_rng(19))

@@ -1,8 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from vulnpool import corpus, numcore as nc, tokenizer as tok, trainer
+from vulnpool import corpus, evaluate as ev, numcore as nc, tokenizer as tok, trainer
 from vulnpool.checkpoint import CheckpointError
+from vulnpool.model import VulnPoolModel
 from vulnpool.trainer import AdamState, TrainConfig, adam_step
 
 from conftest import build_tiny_model
@@ -153,6 +156,29 @@ def test_divergence_aborts_with_diagnostics(small_split, tmp_path):
     assert info.value.epoch == 0
     assert info.value.sample_ids
     assert (tmp_path / "run" / "diverged.ckpt").exists()
+
+
+def test_no_batch_graph_outlives_its_batch(monkeypatch):
+    # desk-size epoch: 2000 training samples in batches of 32, then validation
+    split = corpus.split_dataset(corpus.generate_synthetic(400, 0.5, seed=5),
+                                 (5 / 7, 1 / 7, 1 / 7), seed=5)
+    model = build_tiny_model(split.train, mode="pool_masked", prompt_len=5, max_tokens=80,
+                             d_model=32, d_ffn=64, max_positions=85)
+    live = {"forward": [], "evaluate_model": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kw):
+            live[name].append(sum(isinstance(o, nc.Tensor) and o._backward is not None
+                                  for o in gc.get_objects()))
+            return fn(*args, **kw)
+        return wrapper
+
+    gc.collect()
+    monkeypatch.setattr(VulnPoolModel, "forward", counting("forward", VulnPoolModel.forward))
+    monkeypatch.setattr(ev, "evaluate_model", counting("evaluate_model", ev.evaluate_model))
+    trainer.train(model, split, TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=0))
+    assert len(live["forward"]) > 60 and len(live["evaluate_model"]) == 1
+    assert max(live["forward"]) == 0 and live["evaluate_model"] == [0]
 
 
 def test_empty_training_split_rejected(small_split):
