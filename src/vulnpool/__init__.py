@@ -16,7 +16,7 @@ from .corpus import (
 from .encoder import Encoder, EncoderConfig
 from .evaluate import MetricsReport, breakdown, compute_metrics, f1_score
 from .model import ModelConfig, Prediction, VulnPoolModel
-from .pool import KeySet, LanguageAssignment, ParameterPool, Selection, adapt, select, select_masked
+from .pool import LanguageAssignment, Selection, adapt, select
 from .tokenizer import Vocabulary, build_vocab, decode, encode, load_vocab, save_vocab
 from .trainer import TrainConfig, adam_step, load_checkpoint, save_checkpoint, sweep, train
 

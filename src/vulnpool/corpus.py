@@ -118,6 +118,11 @@ def record_to_sample(obj: dict, where: str = "record") -> CodeSample:
             raise CorpusError(f"{where}: missing field {key!r}")
     if not isinstance(obj["code"], str):
         raise CorpusError(f"{where}: field 'code' must be a string")
+    if type(obj["label"]) is not int:
+        raise CorpusError(f"{where}: field 'label' must be 0 or 1, got {obj['label']!r}")
+    for key in ("cwe", "cve"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise CorpusError(f"{where}: field {key!r} must be a string or null")
     return CodeSample(
         id=str(obj["id"]),
         language=parse_language(obj["language"]),
@@ -226,9 +231,9 @@ def _strip_python(code: str) -> str:
             j = code.find(q, i + 3)
             end = n if j == -1 else j + 3
             nl = code.find("\n", end)
-            trailing = code[end : n if nl == -1 else nl]
-            if only_ws and trailing.strip() == "":
-                # bare-expression triple-quoted string: a docstring
+            trailing = code[end : n if nl == -1 else nl].strip()
+            if only_ws and (trailing == "" or trailing.startswith("#")):
+                # bare-expression triple-quoted string (a comment may follow): a docstring
                 if j == -1:
                     warnings.warn("unterminated triple-quoted string stripped", StripWarning)
                 out.append("\n" * code.count("\n", i, end))

@@ -1,21 +1,21 @@
 """Compact transformer encoder: token/position embedding plus a pre-norm
 multi-head self-attention stack.
 
-Stands in for a pretrained code encoder at desk scale; weights load from a
-checkpoint or initialize from a seeded normal(0, 0.02). Prompt rows prepended
-by the pool receive no positional term, so `embed` indexes positions over
-code tokens only. A mini-batch is packed, not padded: its sequences sit back
-to back in one (rows, d) matrix, every row-wise layer runs once over all
-rows, and the fused attention op keeps each sequence to itself.
+Stands in for a pretrained code encoder at desk scale; weights initialize
+from a seeded normal(0, 0.02) and load with the rest of the model from a
+training checkpoint. Prompt rows prepended by the pool receive no positional
+term, so `embed` indexes positions over code tokens only. A mini-batch is
+packed, not padded: its sequences sit back to back in one (rows, d) matrix,
+every row-wise layer runs once over all rows, and the fused attention op
+keeps each sequence to itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import checkpoint as ckpt
 from . import numcore as nc
 from .numcore import Tensor
 
@@ -152,24 +152,3 @@ class Encoder:
                 ffn_out = nc.dropout(ffn_out, drop, rng)
             x = nc.add(x, ffn_out)
         return nc.layer_norm(x, self.params["enc.lnf.g"], self.params["enc.lnf.b"])
-
-    # ------------------------------------------------------------------
-    # persistence
-
-    def save(self, path):
-        meta = {"kind": "encoder", "config": asdict(self.config), "vocab_size": self.vocab_size}
-        ckpt.save_arrays(path, {n: t.data for n, t in self.parameters()}, meta)
-
-    @classmethod
-    def load(cls, path) -> "Encoder":
-        arrays, meta = ckpt.load_arrays(path)
-        if meta.get("kind") != "encoder":
-            raise ckpt.CheckpointError(f"{path}: not an encoder checkpoint: {meta.get('kind')!r}")
-        try:
-            config = EncoderConfig(**meta["config"])
-            vocab_size = int(meta["vocab_size"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ckpt.CheckpointError(f"{path}: bad encoder manifest: {e}") from None
-        ckpt.check_shapes(arrays, _param_shapes(config, vocab_size), where=str(path))
-        params = {name: nc.parameter(arr) for name, arr in arrays.items()}
-        return cls(config, vocab_size, params)

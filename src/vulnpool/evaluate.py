@@ -220,18 +220,17 @@ def export_embeddings(model, samples, path):
     from . import pool as pl
 
     ordered = sorted(samples, key=lambda s: s.id)
-    queries = []
+    queries, selections = [], []
     if ordered:
         with nc.no_grad():
             x_e, segments = model.embed(model.tokenize(ordered))
             queries = model.query_vector(x_e, segments).data
-    norms = pl.key_norms(model.keys)
+        selections = pl.select(queries, model.keys)
     lines = []
-    for s, q in zip(ordered, queries):
-        selection = pl.select(q, model.keys, 1, norms)
+    for s, q, selection in zip(ordered, queries, selections):
         values = "\t".join(f"{v:.8e}" for v in q)
         lines.append(f"query\t{s.id}\t{s.language.tag}\t{selection.i_star}\t{values}")
-    for i, k in enumerate(model.keys.keys):
+    for i, k in enumerate(model.keys):
         values = "\t".join(f"{v:.8e}" for v in k.data)
         lines.append(f"key\t{i}\t{i}\t\t{values}")
     with open(path, "w", encoding="utf-8") as f:

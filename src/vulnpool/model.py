@@ -75,7 +75,7 @@ class ForwardResult:
     logits: Tensor  # (B, 2)
     selections: list[pl.Selection] | None = None  # one per sample; None without a pool
     query: Tensor | None = None  # (B, d) query rows the selections were made from
-    keys: pl.KeySet | None = None
+    keys: list[Tensor] | None = None
 
     @cached_property
     def phi(self) -> Tensor | None:
@@ -107,10 +107,8 @@ class VulnPoolModel:
         self.vocab = vocab
         self.encoder = Encoder.init_random(enc_config, vocab.size, seed=seed)
         rng = np.random.default_rng([seed, 1])
-        self.pool = pl.ParameterPool.init_random(
-            config.pool_size, config.prompt_len, enc_config.d_model, rng
-        )
-        self.keys = pl.KeySet.init_random(config.pool_size, enc_config.d_model, rng)
+        self.pool = pl.init_random(config.pool_size, (config.prompt_len, enc_config.d_model), rng)
+        self.keys = pl.init_random(config.pool_size, (enc_config.d_model,), rng)
         self.classifier_w = nc.parameter(rng.normal(0.0, 0.02, size=(enc_config.d_model, 2)))
         self.classifier_b = nc.parameter(np.zeros(2))
         if config.pool_size >= len(pl.LANGUAGES) * config.matrices_per_language:
@@ -125,8 +123,8 @@ class VulnPoolModel:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = list(self.encoder.parameters())
-        named += [(f"pool.P.{i}", m) for i, m in enumerate(self.pool.matrices)]
-        named += [(f"pool.k.{i}", k) for i, k in enumerate(self.keys.keys)]
+        named += [(f"pool.P.{i}", m) for i, m in enumerate(self.pool)]
+        named += [(f"pool.k.{i}", k) for i, k in enumerate(self.keys)]
         named += [("cls.w", self.classifier_w), ("cls.b", self.classifier_b)]
         return named
 
@@ -181,18 +179,18 @@ class VulnPoolModel:
         # row-invariant, so a sample's logits do not depend on its batch
         return nc.add(nc.matmul_rowwise(pooled, self.classifier_w), self.classifier_b)
 
-    def _select(self, q_row: np.ndarray, sample: CodeSample, train_mode: bool,
-                key_norms: np.ndarray) -> pl.Selection:
-        if self.config.mode == "pool_masked" and train_mode:
-            if self.assignment is None:
-                raise pl.PoolError(
-                    "pool_masked training requires a language assignment "
-                    f"(pool_size {self.config.pool_size} cannot cover "
-                    f"{len(pl.LANGUAGES)} x {self.config.matrices_per_language})"
-                )
-            return pl.select_masked(q_row, self.keys,
-                                    self.assignment.indices_for(sample.language), key_norms)
-        return pl.select(q_row, self.keys, self.config.top_k, key_norms)
+    def _allowed(self, samples) -> np.ndarray:
+        """(B, N) mask of each sample's language-assigned pool indices."""
+        if self.assignment is None:
+            raise pl.PoolError(
+                "pool_masked training requires a language assignment "
+                f"(pool_size {self.config.pool_size} cannot cover "
+                f"{len(pl.LANGUAGES)} x {self.config.matrices_per_language})"
+            )
+        allowed = np.zeros((len(samples), self.config.pool_size), dtype=bool)
+        for row, s in zip(allowed, samples):
+            row[list(self.assignment.indices_for(s.language))] = True
+        return allowed
 
     def forward(self, samples, train_mode: bool = False, seqs=None) -> ForwardResult:
         """One packed graph over the mini-batch `samples`; see ForwardResult.
@@ -208,9 +206,10 @@ class VulnPoolModel:
             return ForwardResult(logits=logits)
 
         q = self.query_vector(x_e, segments)
-        key_norms = pl.key_norms(self.keys)
-        selections = [self._select(row, s, train_mode, key_norms)
-                      for row, s in zip(q.data, samples)]
+        if self.config.mode == "pool_masked" and train_mode:
+            selections = pl.select(q.data, self.keys, 1, self._allowed(samples))
+        else:
+            selections = pl.select(q.data, self.keys, self.config.top_k)
         adapted = pl.adapt(selections, self.pool, x_e, segments)
         h = self.encoder.encode(adapted.matrix, adapted.segments, train_mode=train_mode, rng=rng)
         prompts = [(lo, lo + adapted.prompt_len) for lo, _ in adapted.segments]

@@ -22,68 +22,22 @@ class PoolError(ValueError):
     pass
 
 
-class ParameterPool:
-    """`size` learnable matrices of shape (prompt_len, d_model)."""
-
-    def __init__(self, matrices: list[Tensor]):
-        if not matrices:
-            raise PoolError("pool must contain at least one matrix")
-        shape = matrices[0].shape
-        if len(shape) != 2:
-            raise PoolError(f"pool matrices must be 2-D, got {shape}")
-        for m in matrices[1:]:
-            if m.shape != shape:
-                raise PoolError(f"inconsistent pool matrix shapes: {shape} vs {m.shape}")
-        self.matrices = matrices
-
-    @classmethod
-    def init_random(cls, size: int, prompt_len: int, d_model: int, rng) -> "ParameterPool":
-        return cls([
-            nc.parameter(rng.normal(0.0, 0.02, size=(prompt_len, d_model)))
-            for _ in range(size)
-        ])
-
-    @property
-    def size(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def prompt_len(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @property
-    def d_model(self) -> int:
-        return self.matrices[0].shape[1]
+def init_random(size: int, shape: tuple[int, ...], rng) -> list[Tensor]:
+    """`size` learnable arrays of `shape` drawn from normal(0, 0.02): the pool
+    matrices (prompt_len, d_model) or the keys (d_model,). Each is its own
+    parameter, so an unselected one gets no gradient and Adam leaves it be."""
+    return [nc.parameter(rng.normal(0.0, 0.02, size=shape)) for _ in range(size)]
 
 
-class KeySet:
-    """One learnable key vector per pool matrix."""
-
-    def __init__(self, keys: list[Tensor]):
-        if not keys:
-            raise PoolError("key set must contain at least one key")
-        for k in keys:
-            if len(k.shape) != 1:
-                raise PoolError(f"keys must be vectors, got shape {k.shape}")
-        self.keys = keys
-
-    @classmethod
-    def init_random(cls, size: int, d_k: int, rng) -> "KeySet":
-        return cls([nc.parameter(rng.normal(0.0, 0.02, size=(d_k,))) for _ in range(size)])
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-    def reinit_zero_keys(self, rng, scale: float = 0.02) -> list[int]:
-        """Re-draw any key whose norm underflowed to zero; returns indices."""
-        redone = []
-        for i, k in enumerate(self.keys):
-            if float(np.linalg.norm(k.data)) < 1e-12:
-                k.data[...] = rng.normal(0.0, scale, size=k.data.shape)
-                k.grad = None
-                redone.append(i)
-        return redone
+def reinit_zero_keys(keys: list[Tensor], rng, scale: float = 0.02) -> list[int]:
+    """Re-draw any key whose norm underflowed to zero; returns indices."""
+    redone = []
+    for i, k in enumerate(keys):
+        if float(np.linalg.norm(k.data)) < 1e-12:
+            k.data[...] = rng.normal(0.0, scale, size=k.data.shape)
+            k.grad = None
+            redone.append(i)
+    return redone
 
 
 @dataclass
@@ -154,90 +108,59 @@ def query(x_e: Tensor, segments=None) -> Tensor:
     return nc.gather_rows(x_e, 0 if segments is None else [lo for lo, _ in segments])
 
 
-def key_norms(keys: KeySet) -> np.ndarray:
-    """The norm of every key; a batch computes them once for all its queries.
-    Each is np.linalg.norm's arithmetic for a vector, sqrt(k . k), without
-    its per-call overhead."""
-    norms = np.sqrt([k.data.dot(k.data) for k in keys.keys])
-    if norms.min() < 1e-12:
-        raise PoolError(f"key {np.flatnonzero(norms < 1e-12)[0]} is a zero vector")
-    return norms
+def select(q: np.ndarray, keys: list[Tensor], k: int = 1, allowed: np.ndarray | None = None
+           ) -> list[Selection]:
+    """Instance-wise selection for each query row of `q` (B, d): the k
+    best-matching keys by cosine, best first, ties to the lowest index.
 
-
-def match_scores(q, keys: KeySet, norms: np.ndarray | None = None) -> np.ndarray:
-    """Cosine similarity of the query against every key (values only).
-    `norms` are the keys' `key_norms`, computed here when not given."""
-    qd = q.data if isinstance(q, Tensor) else np.asarray(q, dtype=float)
-    qn = np.linalg.norm(qd)
-    if qn < 1e-12:
+    `allowed`, a (B, N) boolean mask over the N keys, restricts each row's
+    candidates (language-aware masked training). The (B, N) cosines come
+    from one einsum, which sums each element in one fixed order, so a row
+    selects the same alone as in any batch."""
+    if not 1 <= k <= len(keys):
+        raise PoolError(f"k must lie in [1, {len(keys)}], got {k}")
+    kd = np.stack([key.data for key in keys])
+    k_norms = np.sqrt(np.einsum("nd,nd->n", kd, kd))
+    if k_norms.min() < 1e-12:
+        raise PoolError(f"key {np.flatnonzero(k_norms < 1e-12)[0]} is a zero vector")
+    q_norms = np.sqrt(np.einsum("bd,bd->b", q, q))
+    if q_norms.min() < 1e-12:
         raise PoolError("query is a zero vector")
-    if norms is None:
-        norms = key_norms(keys)
-    out = np.empty(keys.size)
-    for i, k in enumerate(keys.keys):
-        out[i] = float(qd @ k.data) / (qn * norms[i])
-    return out
+    scores = np.einsum("bd,nd->bn", q, kd) / np.outer(q_norms, k_norms)
+    ranked = scores
+    if allowed is not None:
+        if not allowed.any(axis=1).all():
+            raise PoolError("allowed index set is empty")
+        ranked = np.where(allowed, scores, -np.inf)
+    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
+    return [Selection(tuple(row.tolist()), tuple(s[row].tolist()))
+            for row, s in zip(order, scores)]
 
 
-def _ranked(scores: np.ndarray, candidates) -> list[int]:
-    # ties break toward the lowest index
-    return sorted(candidates, key=lambda i: (-scores[i], i))
-
-
-def select(q, keys: KeySet, k: int = 1, norms: np.ndarray | None = None) -> Selection:
-    """Instance-wise selection: the k best-matching keys, best first.
-    `norms` as in `match_scores`."""
-    if not 1 <= k <= keys.size:
-        raise PoolError(f"k must lie in [1, {keys.size}], got {k}")
-    scores = match_scores(q, keys, norms)
-    order = _ranked(scores, range(keys.size))[:k]
-    return Selection(tuple(order), tuple(float(scores[i]) for i in order))
-
-
-def select_masked(q, keys: KeySet, allowed, norms: np.ndarray | None = None) -> Selection:
-    """Selection restricted to the language's candidate indices.
-    `norms` as in `match_scores`."""
-    allowed = list(allowed)
-    if not allowed:
-        raise PoolError("allowed index list is empty")
-    for i in allowed:
-        if not 0 <= i < keys.size:
-            raise PoolError(f"allowed index {i} out of range [0, {keys.size})")
-    scores = match_scores(q, keys, norms)
-    best = _ranked(scores, allowed)[0]
-    return Selection((best,), (float(scores[best]),))
-
-
-def _batch(selections) -> list[Selection]:
-    return [selections] if isinstance(selections, Selection) else list(selections)
-
-
-def adapt(selections, pool: ParameterPool, x_e: Tensor, segments=None) -> AdaptedEmbedding:
+def adapt(selections: list[Selection], pool: list[Tensor], x_e: Tensor,
+          segments) -> AdaptedEmbedding:
     """Stack each sequence's selected prompt matrices above its token embeddings.
 
-    `x_e` holds one sequence with one Selection, or several back to back with
-    one Selection per (start, stop) in `segments`. The result packs the
-    sequences in the same order, built as one row gather over the selected
-    matrices and `x_e`. Gradients flow only into the selected matrices; the
-    embedding rows are carried through unchanged.
+    `x_e` holds the sequences back to back, one Selection per (start, stop)
+    in `segments`. The result packs the sequences in the same order, built
+    as one row gather over the selected matrices and `x_e`. Gradients flow
+    only into the selected matrices; the embedding rows are carried through
+    unchanged.
     """
-    selections = _batch(selections)
-    spans = [(0, x_e.shape[0])] if segments is None else list(segments)
+    spans = list(segments)
     if len(spans) != len(selections):
         raise PoolError(f"{len(selections)} selections for {len(spans)} sequences")
-    if x_e.shape[1] != pool.d_model:
-        raise PoolError(
-            f"embedding width {x_e.shape[1]} does not match pool width {pool.d_model}"
-        )
+    lp, width = pool[0].shape
+    if x_e.shape[1] != width:
+        raise PoolError(f"embedding width {x_e.shape[1]} does not match pool width {width}")
     for selection in selections:
         for i in selection.indices:
-            if not 0 <= i < pool.size:
-                raise PoolError(f"selected index {i} out of range [0, {pool.size})")
+            if not 0 <= i < len(pool):
+                raise PoolError(f"selected index {i} out of range [0, {len(pool)})")
     if len({len(s.indices) for s in selections}) != 1:
         raise PoolError("every sequence of a batch must select the same number of matrices")
 
     used = sorted({i for s in selections for i in s.indices})
-    lp = pool.prompt_len
     first_row = {i: j * lp for j, i in enumerate(used)}
     tokens_at = len(used) * lp
     rows: list[int] = []
@@ -248,7 +171,7 @@ def adapt(selections, pool: ParameterPool, x_e: Tensor, segments=None) -> Adapte
             rows.extend(range(first_row[i], first_row[i] + lp))
         rows.extend(range(tokens_at + lo, tokens_at + hi))
         packed.append((start, len(rows)))
-    table = nc.concat_rows([pool.matrices[i] for i in used] + [x_e])
+    table = nc.concat_rows([pool[i] for i in used] + [x_e])
     return AdaptedEmbedding(
         matrix=nc.gather_rows(table, rows),
         segments=packed,
@@ -256,17 +179,13 @@ def adapt(selections, pool: ParameterPool, x_e: Tensor, segments=None) -> Adapte
     )
 
 
-def surrogate_similarity(q: Tensor, keys: KeySet, selections) -> Tensor:
+def surrogate_similarity(q: Tensor, keys: list[Tensor], selections: list[Selection]) -> Tensor:
     """Differentiable query/key match term, (B,): for each query row of `q`
-    (B, d), the mean cosine to the keys of its Selection. A lone (d,) query
-    takes one Selection and gives (1,)."""
-    selections = _batch(selections)
-    if q.data.ndim == 1:
-        q = nc.concat_rows([q])
+    (B, d), the mean cosine to the keys of its Selection."""
     used = sorted({i for s in selections for i in s.indices})
     slot = {i: j for j, i in enumerate(used)}
     key_rows = nc.gather_rows(
-        nc.concat_rows([keys.keys[i] for i in used]),
+        nc.concat_rows([keys[i] for i in used]),
         [slot[i] for s in selections for i in s.indices],
     )
     counts = [len(s.indices) for s in selections]

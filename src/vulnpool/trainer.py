@@ -20,6 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import evaluate as ev
 from . import numcore as nc
+from . import pool as pl
 from .corpus import DatasetSplit
 from .model import MODES, ModelConfig, VulnPoolModel
 from .encoder import EncoderConfig
@@ -232,7 +233,7 @@ def train(
             adam_step(model.parameters(), state, config.lr, config.beta1, config.beta2,
                       config.eps, config.grad_clip)
             model.zero_grad()
-            model.keys.reinit_zero_keys(reinit_rng)
+            pl.reinit_zero_keys(model.keys, reinit_rng)
 
         val_report, _ = ev.evaluate_model(model, split.val) if split.val else (None, None)
         record = EpochRecord(

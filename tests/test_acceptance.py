@@ -135,47 +135,52 @@ def test_criterion_3_selection_correctness():
 
     def brute_rank(q, keys):
         qn = np.linalg.norm(q)
-        scores = [float(q @ k.data) / (qn * np.linalg.norm(k.data)) for k in keys.keys]
+        scores = [float(q @ k.data) / (qn * np.linalg.norm(k.data)) for k in keys]
         return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+
+    def select_one(q, keys, k=1, allowed=None):
+        # the batched selection over the lone query row q, masked to `allowed`
+        mask = None
+        if allowed is not None:
+            mask = np.zeros((1, len(keys)), dtype=bool)
+            mask[0, list(allowed)] = True
+        return pl.select(q[None], keys, k, mask)[0]
 
     mismatches = 0
     for trial in range(1000):
         size = int(r.integers(1, 9))
         d = int(r.integers(2, 17))
-        keys = pl.KeySet([nc.parameter(r.normal(size=d)) for _ in range(size)])
+        keys = [nc.parameter(r.normal(size=d)) for _ in range(size)]
         q = r.normal(size=d)
         k = int(r.integers(1, size + 1))
         rank = brute_rank(q, keys)
-        if pl.select(q, keys, k=k).indices != tuple(rank[:k]):
+        if select_one(q, keys, k=k).indices != tuple(rank[:k]):
             mismatches += 1
         allowed = sorted(r.choice(size, size=min(3, size), replace=False).tolist())
         expected = next(i for i in rank if i in allowed)
-        if pl.select_masked(q, keys, allowed).i_star != expected:
+        if select_one(q, keys, 1, allowed).i_star != expected:
             mismatches += 1
 
     scale_violations = 0
     for trial in range(200):
-        keys = pl.KeySet([nc.parameter(r.normal(size=6)) for _ in range(5)])
+        keys = [nc.parameter(r.normal(size=6)) for _ in range(5)]
         q = r.normal(size=6)
-        base = pl.select(q, keys, k=3).indices
-        if pl.select(q * float(r.uniform(0.01, 100.0)), keys, k=3).indices != base:
+        base = select_one(q, keys, k=3).indices
+        if select_one(q * float(r.uniform(0.01, 100.0)), keys, k=3).indices != base:
             scale_violations += 1
-        rescaled = pl.KeySet(
-            [nc.parameter(k.data * float(r.uniform(0.01, 100.0))) for k in keys.keys]
-        )
-        if pl.select(q, rescaled, k=3).indices != base:
+        rescaled = [nc.parameter(k.data * float(r.uniform(0.01, 100.0))) for k in keys]
+        if select_one(q, rescaled, k=3).indices != base:
             scale_violations += 1
 
     singleton_hits = sum(
-        pl.select_masked(r.normal(size=5),
-                         pl.KeySet([nc.parameter(r.normal(size=5)) for _ in range(7)]),
-                         [4]).i_star == 4
+        select_one(r.normal(size=5), [nc.parameter(r.normal(size=5)) for _ in range(7)],
+                   allowed=[4]).i_star == 4
         for _ in range(100)
     )
     k1_matches = all(
-        pl.select(q, keys, k=1).i_star == pl.select_masked(q, keys, range(keys.size)).i_star
+        select_one(q, keys, k=1).i_star == select_one(q, keys, 1, range(len(keys))).i_star
         for q, keys in [
-            (r.normal(size=5), pl.KeySet([nc.parameter(r.normal(size=5)) for _ in range(6)]))
+            (r.normal(size=5), [nc.parameter(r.normal(size=5)) for _ in range(6)])
             for _ in range(200)
         ]
     )

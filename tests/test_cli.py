@@ -335,6 +335,24 @@ def test_eval_bad_manifest_setting_exits_2(corpus_dir, tmp_path, capsys):
         assert key in err and err.count("\n") == 1
 
 
+def test_eval_non_string_cwe_exits_2(corpus_dir, tmp_path, capsys):
+    # a list is unhashable and mixed int/str keys do not sort: the per-CWE
+    # breakdown used to raise TypeError
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(corpus_dir), "--out", str(run_dir),
+                   "--seed", "1", *TINY_TRAIN_FLAGS) == 0
+    records = [dict(json.loads(line), id=f"t{i}") for i, line
+               in enumerate((corpus_dir / "val.jsonl").read_text().splitlines())]
+    for key, value in (("cwe", ["CWE-79"]), ("cwe", 79), ("cve", 2021)):
+        broken = [dict(records[0], **{key: value})] + records[1:]
+        (corpus_dir / "test.jsonl").write_text("".join(json.dumps(r) + "\n" for r in broken))
+        capsys.readouterr()
+        assert run_cli("eval", "--run", str(run_dir), "--data", str(corpus_dir),
+                       "--max-tokens", "64") == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and err.count("\n") == 1
+
+
 def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):
     # the op set is numerically stable by design, so divergence is injected
     # rather than provoked; the trainer-side detection has its own unit test

@@ -151,6 +151,13 @@ def test_strip_docstring_only_when_bare_statement():
     assert removed == "\nx = 1"
 
 
+def test_strip_docstring_followed_by_comment():
+    # a comment after the closing quotes still leaves a bare statement
+    stripped = corpus.strip_comments('    """doc"""  # noqa\nx = 1', Language.PYTHON)
+    assert stripped == "      \nx = 1"
+    assert corpus.strip_comments(stripped, Language.PYTHON) == stripped
+
+
 # ---------------------------------------------------------------------------
 # length filtering
 

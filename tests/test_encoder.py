@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vulnpool import numcore as nc
-from vulnpool.checkpoint import CheckpointError
 from vulnpool.encoder import Encoder, EncoderConfig
 
 
@@ -120,42 +119,3 @@ def test_init_random_histogram():
     assert draws.size == 100_000
     assert abs(draws.mean()) < 0.002
     assert abs(draws.std() - 0.02) < 0.002
-
-
-def test_save_load_round_trip(tmp_path):
-    enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=14)
-    path = tmp_path / "enc.ckpt"
-    enc.save(path)
-    loaded = Encoder.load(path)
-    for (na, pa), (nb, pb) in zip(enc.parameters(), loaded.parameters()):
-        assert na == nb
-        assert np.array_equal(pa.data, pb.data)
-
-
-def test_load_shape_mismatch_names_offender(tmp_path):
-    enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=15)
-    path = tmp_path / "enc.ckpt"
-    enc.save(path)
-    from vulnpool import checkpoint as ckpt
-
-    arrays, meta = ckpt.load_arrays(path)
-    arrays["enc.0.attn.wq"] = arrays["enc.0.attn.wq"][:4]
-    ckpt.save_arrays(path, arrays, meta)
-    with pytest.raises(CheckpointError, match="enc.0.attn.wq"):
-        Encoder.load(path)
-
-
-@pytest.mark.parametrize("edit", [
-    {"config": {"n_layers": 1, "n_heads": 3, "d_model": 8, "d_ffn": 16, "max_positions": 32}},
-    {"config": {"n_layers": 1, "n_heads": 1, "d_model": 8, "d_ffn": 16, "width": 3}},
-    {"vocab_size": None},
-])
-def test_load_bad_manifest_is_checkpoint_error(tmp_path, edit):
-    from vulnpool import checkpoint as ckpt
-
-    path = tmp_path / "enc.ckpt"
-    Encoder.init_random(tiny_config(), vocab_size=16, seed=16).save(path)
-    arrays, meta = ckpt.load_arrays(path)
-    ckpt.save_arrays(path, arrays, {**meta, **edit})
-    with pytest.raises(CheckpointError, match="bad encoder manifest"):
-        Encoder.load(path)

@@ -26,9 +26,9 @@ def test_backbone_mode_never_touches_pool(small_corpus):
     # without a selection the joint loss degenerates to plain cross-entropy
     assert loss.item() == nc.cross_entropy_logits(out.logits, [small_corpus[0].label]).item()
     nc.backward(loss)
-    for m in model.pool.matrices:
+    for m in model.pool:
         assert m.grad is None
-    for k in model.keys.keys:
+    for k in model.keys:
         assert k.grad is None
     assert model.classifier_w.grad is not None
 
@@ -40,7 +40,7 @@ def test_classifier_reads_mean_of_prompt_rows(small_corpus):
     with nc.no_grad():
         seq = tok.encode(sample.code, model.vocab, model.config.max_tokens)
         x_e = model.encoder.embed(seq.ids)
-        adapted = pl.adapt(out.selections[0], model.pool, x_e)
+        adapted = pl.adapt(out.selections, model.pool, x_e, [(0, len(seq.ids))])
         h = model.encoder.encode(adapted.matrix)
     pooled = h.data[0:5].mean(axis=0)
     expected = pooled @ model.classifier_w.data + model.classifier_b.data
@@ -59,7 +59,7 @@ def test_masked_training_uses_assigned_index_inference_is_unrestricted(small_cor
         seq = tok.encode(s.code, model.vocab, model.config.max_tokens)
         with nc.no_grad():
             q = model.query_vector(model.encoder.embed(seq.ids))
-        assert eval_out.selections[0].i_star == pl.select(q, model.keys).i_star
+        assert eval_out.selections[0].i_star == pl.select(q.data[None], model.keys)[0].i_star
 
 
 def test_masked_training_pulls_only_assigned_key(small_corpus):
@@ -67,7 +67,7 @@ def test_masked_training_pulls_only_assigned_key(small_corpus):
     sample = [s for s in small_corpus if s.language is Language.JAVA][0]
     assigned = model.assignment.indices_for(Language.JAVA)[0]
     nc.backward(model.sample_loss(sample, train_mode=True))
-    for i, k in enumerate(model.keys.keys):
+    for i, k in enumerate(model.keys):
         if i == assigned:
             assert k.grad is not None and np.abs(k.grad).max() > 0
         else:
@@ -222,7 +222,7 @@ def test_surrogate_increases_under_model_forward(small_corpus):
     out = model.forward([sample], train_mode=True)
     before = out.phi.item()
     nc.backward(out.phi)
-    key = model.keys.keys[out.selections[0].i_star]
+    key = model.keys[out.selections[0].i_star]
     key.data += 1e-3 * key.grad
     model.zero_grad()
     after = model.forward([sample], train_mode=True).phi.item()

@@ -7,7 +7,7 @@ from vulnpool.corpus import LANGUAGES, Language
 
 
 def make_keys(vectors):
-    return pl.KeySet([nc.parameter(np.asarray(v, dtype=float)) for v in vectors])
+    return [nc.parameter(np.asarray(v, dtype=float)) for v in vectors]
 
 
 def random_keys(size, d, seed):
@@ -15,10 +15,22 @@ def random_keys(size, d, seed):
     return make_keys([r.normal(size=d) for _ in range(size)])
 
 
+def mask_of(allowed, size):
+    mask = np.zeros((1, size), dtype=bool)
+    mask[0, list(allowed)] = True
+    return mask
+
+
+def select_one(q, keys, k=1, allowed=None):
+    """Selection for the lone query `q` (d,), restricted to `allowed` indices."""
+    mask = None if allowed is None else mask_of(allowed, len(keys))
+    return pl.select(np.asarray(q, dtype=float)[None], keys, k, mask)[0]
+
+
 def brute_force_rank(q, keys):
     scores = []
     qn = np.linalg.norm(q)
-    for i, k in enumerate(keys.keys):
+    for i, k in enumerate(keys):
         scores.append(float(q @ k.data) / (qn * np.linalg.norm(k.data)))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return order, scores
@@ -60,13 +72,13 @@ def test_select_singleton_pool():
     keys = random_keys(1, 4, seed=2)
     for seed in range(5):
         q = np.random.default_rng(seed).normal(size=4)
-        assert pl.select(q, keys).indices == (0,)
+        assert select_one(q, keys).indices == (0,)
 
 
 def test_select_self_match():
     keys = random_keys(6, 8, seed=3)
-    q = keys.keys[3].data.copy()
-    assert pl.select(q, keys).i_star == 3
+    q = keys[3].data.copy()
+    assert select_one(q, keys).i_star == 3
 
 
 def test_select_matches_exhaustive_loop():
@@ -77,7 +89,7 @@ def test_select_matches_exhaustive_loop():
         keys = random_keys(size, d, seed=trial)
         q = r.normal(size=d)
         k = int(r.integers(1, size + 1))
-        got = pl.select(q, keys, k=k)
+        got = select_one(q, keys, k=k)
         order, scores = brute_force_rank(q, keys)
         assert got.indices == tuple(order[:k])
         assert list(got.scores) == pytest.approx([scores[i] for i in order[:k]], abs=1e-12)
@@ -90,7 +102,7 @@ def test_select_masked_matches_restricted_loop():
         keys = random_keys(8, 6, seed=10_000 + trial)
         q = r.normal(size=6)
         allowed = sorted(r.choice(8, size=3, replace=False).tolist())
-        got = pl.select_masked(q, keys, allowed)
+        got = select_one(q, keys, 1, allowed)
         order, _ = brute_force_rank(q, keys)
         expected = next(i for i in order if i in allowed)
         assert got.i_star == expected
@@ -101,48 +113,51 @@ def test_select_masked_singleton_is_constant():
     r = np.random.default_rng(7)
     for _ in range(100):
         q = r.normal(size=5)
-        assert pl.select_masked(q, keys, [4]).i_star == 4
+        assert select_one(q, keys, 1, [4]).i_star == 4
 
 
 def test_select_masked_self_match():
     keys = random_keys(6, 8, seed=8)
-    q = keys.keys[5].data.copy()
-    assert pl.select_masked(q, keys, [1, 5]).i_star == 5
+    q = keys[5].data.copy()
+    assert select_one(q, keys, 1, [1, 5]).i_star == 5
 
 
 def test_select_masked_empty_allowed_rejected():
     keys = random_keys(3, 4, seed=9)
     with pytest.raises(pl.PoolError, match="empty"):
-        pl.select_masked(np.ones(4), keys, [])
+        select_one(np.ones(4), keys, 1, [])
 
 
 def test_select_zero_query_rejected():
     keys = random_keys(3, 4, seed=10)
     with pytest.raises(pl.PoolError, match="zero"):
-        pl.select(np.zeros(4), keys)
+        select_one(np.zeros(4), keys)
 
 
 def test_select_zero_key_rejected():
     keys = make_keys([np.ones(4), np.zeros(4), np.ones(4)])
     with pytest.raises(pl.PoolError, match="key 1 is a zero vector"):
-        pl.key_norms(keys)
-    with pytest.raises(pl.PoolError, match="key 1 is a zero vector"):
-        pl.select(np.ones(4), keys)
+        select_one(np.ones(4), keys)
 
 
-def test_select_with_key_norms_once_is_bit_identical():
-    keys = random_keys(7, 8, seed=12)
-    norms = pl.key_norms(keys)
+def test_select_batch_equals_each_row_alone():
+    # one (B, N) cosine matrix per batch; each row's indices and scores are
+    # bit-equal to selecting that row alone, masked or not
     r = np.random.default_rng(13)
-    for _ in range(50):
-        q = r.normal(size=8)
-        order, scores = brute_force_rank(q, keys)
-        top = pl.select(q, keys, 3, norms)
-        assert top == pl.select(q, keys, 3)
-        assert top.scores == tuple(scores[i] for i in order[:3])
-        masked = pl.select_masked(q, keys, [2, 5], norms)
-        assert masked == pl.select_masked(q, keys, [2, 5])
-        assert masked.scores == (max(scores[2], scores[5]),)
+    for rows in range(1, 34):
+        size = int(r.integers(1, 9))
+        d = int(r.choice([2, 7, 32, 64]))
+        keys = random_keys(size, d, seed=40_000 + rows)
+        q = r.normal(size=(rows, d))
+        mask = r.random((rows, size)) < 0.5
+        mask[np.arange(rows), r.integers(0, size, rows)] = True
+        for k, allowed in ((int(r.integers(1, size + 1)), None), (1, mask)):
+            batched = pl.select(q, keys, k, allowed)
+            for b, got in enumerate(batched):
+                alone = pl.select(q[b:b + 1], keys, k,
+                                  None if allowed is None else allowed[b:b + 1])[0]
+                assert got.indices == alone.indices
+                assert np.array(got.scores).tobytes() == np.array(alone.scores).tobytes()
 
 
 def test_select_scale_invariance():
@@ -150,12 +165,10 @@ def test_select_scale_invariance():
     for trial in range(100):
         keys = random_keys(5, 6, seed=20_000 + trial)
         q = r.normal(size=6)
-        base = pl.select(q, keys, k=3).indices
-        assert pl.select(q * float(r.uniform(0.01, 100)), keys, k=3).indices == base
-        scaled = pl.KeySet([
-            nc.parameter(k.data * float(r.uniform(0.01, 100))) for k in keys.keys
-        ])
-        assert pl.select(q, scaled, k=3).indices == base
+        base = select_one(q, keys, k=3).indices
+        assert select_one(q * float(r.uniform(0.01, 100)), keys, k=3).indices == base
+        scaled = make_keys([k.data * float(r.uniform(0.01, 100)) for k in keys])
+        assert select_one(q, scaled, k=3).indices == base
 
 
 def test_select_k1_equals_masked_over_everything():
@@ -163,20 +176,20 @@ def test_select_k1_equals_masked_over_everything():
     for trial in range(200):
         keys = random_keys(6, 5, seed=30_000 + trial)
         q = r.normal(size=5)
-        assert pl.select(q, keys, k=1).i_star == pl.select_masked(q, keys, range(6)).i_star
+        assert select_one(q, keys, k=1).i_star == select_one(q, keys, 1, range(6)).i_star
 
 
 def test_select_tie_breaks_to_lowest_index():
     shared = np.array([1.0, 0.0, 0.0])
     keys = make_keys([shared, shared * 2.0, [0.0, 1.0, 0.0]])
-    got = pl.select(np.array([3.0, 0.0, 0.0]), keys, k=2)
+    got = select_one(np.array([3.0, 0.0, 0.0]), keys, k=2)
     assert got.indices == (0, 1)  # equal cosines, index order decides
 
 
 def test_select_k_out_of_range():
     keys = random_keys(3, 4, seed=13)
     with pytest.raises(pl.PoolError, match="k must"):
-        pl.select(np.ones(4), keys, k=4)
+        select_one(np.ones(4), keys, k=4)
 
 
 # ---------------------------------------------------------------------------
@@ -184,53 +197,53 @@ def test_select_k_out_of_range():
 
 def test_adapt_shape_arithmetic():
     r = np.random.default_rng(14)
-    pool = pl.ParameterPool.init_random(7, 5, 8, r)
+    pool = pl.init_random(7, (5, 8), r)
     x_e = nc.tensor(r.normal(size=(12, 8)))
-    adapted = pl.adapt(pl.Selection((2,), (0.5,)), pool, x_e)
+    adapted = pl.adapt([pl.Selection((2,), (0.5,))], pool, x_e, [(0, 12)])
     assert adapted.matrix.shape == (17, 8)
     assert adapted.prompt_len == 5
 
 
 def test_adapt_tail_rows_equal_embeddings_bitwise():
     r = np.random.default_rng(15)
-    pool = pl.ParameterPool.init_random(4, 3, 6, r)
+    pool = pl.init_random(4, (3, 6), r)
     x_e = nc.tensor(r.normal(size=(9, 6)))
-    adapted = pl.adapt(pl.Selection((1, 3), (0.9, 0.1)), pool, x_e)
+    adapted = pl.adapt([pl.Selection((1, 3), (0.9, 0.1))], pool, x_e, [(0, 9)])
     assert adapted.prompt_len == 6
     assert np.array_equal(adapted.matrix.data[6:], x_e.data)
-    assert np.array_equal(adapted.matrix.data[:3], pool.matrices[1].data)
-    assert np.array_equal(adapted.matrix.data[3:6], pool.matrices[3].data)
+    assert np.array_equal(adapted.matrix.data[:3], pool[1].data)
+    assert np.array_equal(adapted.matrix.data[3:6], pool[3].data)
 
 
 def test_adapt_gradient_flows_only_into_selected_matrices():
     r = np.random.default_rng(16)
-    pool = pl.ParameterPool.init_random(5, 4, 6, r)
+    pool = pl.init_random(5, (4, 6), r)
     x_e = nc.tensor(r.normal(size=(7, 6)))
-    adapted = pl.adapt(pl.Selection((2,), (1.0,)), pool, x_e)
+    adapted = pl.adapt([pl.Selection((2,), (1.0,))], pool, x_e, [(0, 7)])
     prompt = nc.slice_rows(adapted.matrix, 0, adapted.prompt_len)
     loss = nc.sum_all(nc.mul(prompt, prompt))
     nc.backward(loss)
-    assert pool.matrices[2].grad is not None
-    assert np.abs(pool.matrices[2].grad).max() > 0
+    assert pool[2].grad is not None
+    assert np.abs(pool[2].grad).max() > 0
     for j in (0, 1, 3, 4):
-        assert pool.matrices[j].grad is None
+        assert pool[j].grad is None
 
 
 def test_adapt_dimension_mismatch():
     r = np.random.default_rng(17)
-    pool = pl.ParameterPool.init_random(3, 2, 8, r)
+    pool = pl.init_random(3, (2, 8), r)
     with pytest.raises(pl.PoolError, match="width"):
-        pl.adapt(pl.Selection((0,), (1.0,)), pool, nc.tensor(np.zeros((4, 6))))
+        pl.adapt([pl.Selection((0,), (1.0,))], pool, nc.tensor(np.zeros((4, 6))), [(0, 4)])
 
 
 def test_surrogate_similarity_mean_over_selection():
     r = np.random.default_rng(18)
     keys = random_keys(4, 5, seed=18)
-    q = nc.tensor(r.normal(size=5))
+    q = nc.tensor(r.normal(size=(1, 5)))
     sel = pl.Selection((0, 2), (0.0, 0.0))
-    phi = pl.surrogate_similarity(q, keys, sel)
-    a = nc.cosine_similarity(q, keys.keys[0]).item()
-    b = nc.cosine_similarity(q, keys.keys[2]).item()
+    phi = pl.surrogate_similarity(q, keys, [sel])
+    a = nc.cosine_similarity(nc.tensor(q.data[0]), keys[0]).item()
+    b = nc.cosine_similarity(nc.tensor(q.data[0]), keys[2]).item()
     assert phi.item() == pytest.approx((a + b) / 2, abs=1e-12)
 
 
@@ -258,8 +271,8 @@ def test_assignment_validation_catches_missing_language():
         pl.LanguageAssignment(mapping).validate(pool_size=7)
 
 
-def test_keyset_reinit_zero_keys():
+def test_reinit_zero_keys():
     keys = make_keys([np.zeros(4), np.ones(4)])
-    redone = keys.reinit_zero_keys(np.random.default_rng(19))
+    redone = pl.reinit_zero_keys(keys, np.random.default_rng(19))
     assert redone == [0]
-    assert np.linalg.norm(keys.keys[0].data) > 0
+    assert np.linalg.norm(keys[0].data) > 0
