@@ -230,8 +230,13 @@ def cmd_report(args) -> int:
     if os.path.exists(history_path):
         rows = []
         with open(history_path, encoding="utf-8") as f:
-            for line in f:
-                rec = json.loads(line)
+            for lineno, line in enumerate(f, start=1):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusError(
+                        f"{history_path}: line {lineno}: malformed record: {exc.msg}"
+                    ) from None
                 rows.append([
                     rec["epoch"], f"{rec['train_loss']:.4f}", f"{100 * rec['val_recall']:.2f}%",
                     f"{100 * rec['val_precision']:.2f}%", f"{100 * rec['val_f1']:.2f}%",

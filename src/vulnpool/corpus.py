@@ -116,15 +116,16 @@ def record_to_sample(obj: dict, where: str = "record") -> CodeSample:
     for key in ("id", "language", "code", "label"):
         if key not in obj:
             raise CorpusError(f"{where}: missing field {key!r}")
-    if not isinstance(obj["code"], str):
-        raise CorpusError(f"{where}: field 'code' must be a string")
+    for key in ("id", "code"):
+        if not isinstance(obj[key], str):
+            raise CorpusError(f"{where}: field {key!r} must be a string")
     if type(obj["label"]) is not int:
         raise CorpusError(f"{where}: field 'label' must be 0 or 1, got {obj['label']!r}")
     for key in ("cwe", "cve"):
         if obj.get(key) is not None and not isinstance(obj[key], str):
             raise CorpusError(f"{where}: field {key!r} must be a string or null")
     return CodeSample(
-        id=str(obj["id"]),
+        id=obj["id"],
         language=parse_language(obj["language"]),
         code=obj["code"],
         label=obj["label"],

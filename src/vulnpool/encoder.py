@@ -102,7 +102,7 @@ class Encoder:
 
     def _segments(self, segments, rows: int) -> list[tuple[int, int]]:
         """Each sequence's (start, stop) rows; they must tile all `rows`."""
-        spans = [(0, rows)] if segments is None else [(int(lo), int(hi)) for lo, hi in segments]
+        spans = [(int(lo), int(hi)) for lo, hi in segments]
         starts = [0] + [hi for _, hi in spans[:-1]]
         if not spans or [lo for lo, _ in spans] != starts or spans[-1][1] != rows:
             raise ValueError(f"segments {spans} do not tile {rows} rows")
@@ -113,11 +113,11 @@ class Encoder:
             )
         return spans
 
-    def embed(self, ids, segments=None) -> Tensor:
+    def embed(self, ids, segments) -> Tensor:
         """Token embedding plus learned absolute positions over code tokens.
 
-        `ids` is one sequence, or several back to back with `segments` giving
-        each one's (start, stop); positions restart at 0 in every sequence.
+        `ids` holds the sequences back to back, `segments` each one's
+        (start, stop); positions restart at 0 in every sequence.
         """
         spans = self._segments(segments, len(ids))
         positions = np.concatenate([np.arange(hi - lo) for lo, hi in spans])
@@ -128,10 +128,10 @@ class Encoder:
     def _linear(self, x: Tensor, w: str, b: str) -> Tensor:
         return nc.linear(x, self.params[w], self.params[b])
 
-    def encode(self, x: Tensor, segments=None, train_mode: bool = False, rng=None) -> Tensor:
-        """Run the pre-norm encoder stack over one sequence, or over several
-        packed back to back as `segments` (see `embed`); rows attend only
-        within their own sequence. Output shape equals input shape."""
+    def encode(self, x: Tensor, segments, train_mode: bool = False, rng=None) -> Tensor:
+        """Run the pre-norm encoder stack over sequences packed back to back
+        as `segments` (see `embed`); rows attend only within their own
+        sequence. Output shape equals input shape."""
         spans = self._segments(segments, x.shape[0])
         drop = self.config.dropout_rate if train_mode else 0.0
         for layer in range(self.config.n_layers):

@@ -62,6 +62,12 @@ class ModelConfig:
             )
         if not 1 <= self.top_k <= self.pool_size:
             raise ValueError(f"top_k must lie in [1, {self.pool_size}], got {self.top_k}")
+        if self.mode == "pool_masked" and self.top_k > self.matrices_per_language:
+            # masked training selects top_k within the language's own block
+            raise ValueError(
+                f"top_k {self.top_k} exceeds matrices_per_language "
+                f"{self.matrices_per_language} in pool_masked mode"
+            )
         if self.max_tokens < 2:
             raise ValueError(
                 f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, got {self.max_tokens}"
@@ -113,7 +119,6 @@ class VulnPoolModel:
         self.classifier_b = nc.parameter(np.zeros(2))
         if config.pool_size >= len(pl.LANGUAGES) * config.matrices_per_language:
             self.assignment = pl.LanguageAssignment.default(config.matrices_per_language)
-            self.assignment.validate(config.pool_size)
         else:
             self.assignment = None
         self._dropout_rng = np.random.default_rng([seed, 2])
@@ -169,10 +174,11 @@ class VulnPoolModel:
             ids.extend(seq)
         return self.encoder.embed(ids, segments), segments
 
-    def query_vector(self, x_e: Tensor, segments=None) -> Tensor:
-        """The query of one embedded sequence (d,), or of each packed one (B, d)."""
+    def query_vector(self, x_e: Tensor, segments) -> Tensor:
+        """The (B, d) queries of the packed sequences `segments` of `x_e`: each
+        one's [CLS]-position row, or the mean of its rows."""
         if self.config.query_from == "embed_cls":
-            return pl.query(x_e, segments)
+            return nc.gather_rows(x_e, [lo for lo, _ in segments])
         return nc.segment_mean(x_e, segments)
 
     def _classify(self, pooled: Tensor) -> Tensor:
@@ -207,7 +213,7 @@ class VulnPoolModel:
 
         q = self.query_vector(x_e, segments)
         if self.config.mode == "pool_masked" and train_mode:
-            selections = pl.select(q.data, self.keys, 1, self._allowed(samples))
+            selections = pl.select(q.data, self.keys, self.config.top_k, self._allowed(samples))
         else:
             selections = pl.select(q.data, self.keys, self.config.top_k)
         adapted = pl.adapt(selections, self.pool, x_e, segments)
@@ -225,10 +231,6 @@ class VulnPoolModel:
         if phi is None or self.config.lam == 0.0:
             return mean_ce
         return nc.sub(mean_ce, nc.scale(nc.sum_all(phi), self.config.lam / n))
-
-    def sample_loss(self, sample: CodeSample, train_mode: bool = True) -> Tensor:
-        out = self.forward([sample], train_mode=train_mode)
-        return self.loss(out.logits, [sample.label], out.phi)
 
     def predict(self, sample: CodeSample) -> Prediction:
         return self.predict_many([sample])[0]

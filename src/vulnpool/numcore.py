@@ -86,31 +86,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; the named functions below do the work
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def tensor(data, requires_grad: bool = False) -> Tensor:
@@ -176,19 +153,6 @@ def sub(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} vs {b.shape}") from None
-
-    def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _make(data, (a, b), bw)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -236,41 +200,11 @@ def matmul_rowwise(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.einsum("ij,jk->ik", a.data, b.data), (a, b), bw)
 
 
-def add_n(tensors) -> Tensor:
-    """Elementwise sum of same-shape tensors."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise ValueError("add_n: empty input")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise ShapeError(f"add_n: incompatible shapes {shape} vs {t.shape}")
-    data = tensors[0].data.copy()
-    for t in tensors[1:]:
-        data += t.data
-
-    def bw(g):
-        return tuple(g for _ in tensors)
-
-    return _make(data, tuple(tensors), bw)
-
-
 def sum_all(a: Tensor) -> Tensor:
     def bw(g):
         return (np.full_like(a.data, float(g)),)
 
     return _make(a.data.sum(), (a,), bw)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"dot: incompatible shapes {a.shape} vs {b.shape}")
-    data = a.data @ b.data
-
-    def bw(g):
-        return g * b.data, g * a.data
-
-    return _make(data, (a, b), bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -345,15 +279,6 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(data, (a, gamma, beta), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g):
-        out = np.zeros_like(a.data)
-        out[start:stop] = g
-        return (out,)
-
-    return _make(a.data[start:stop].copy(), (a,), bw)
-
-
 def concat_rows(tensors) -> Tensor:
     """Stack tensors along the row axis; a 1-D tensor is one row."""
     tensors = list(tensors)
@@ -386,24 +311,20 @@ def _segments(segments, rows: int, op: str) -> list[tuple[int, int]]:
     return spans
 
 
-def segment_mean(a: Tensor, segments=None) -> Tensor:
-    """Mean over the rows of each (start, stop) range: (n, ...) -> (len(segments), ...).
-
-    Without `segments`, the mean over all rows, with the row axis dropped.
-    """
+def segment_mean(a: Tensor, segments) -> Tensor:
+    """Mean over the rows of each (start, stop) range: (n, ...) -> (len(segments), ...)."""
     if a.data.ndim < 1:
         raise ShapeError(f"segment_mean: expected at least 1-D input, got {a.shape}")
-    rows = a.shape[0]
-    spans = _segments([(0, rows)] if segments is None else segments, rows, "segment_mean")
+    spans = _segments(segments, a.shape[0], "segment_mean")
     data = np.stack([a.data[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in spans])
 
     def bw(g):
         out = np.zeros_like(a.data)
-        for (lo, hi), gb in zip(spans, g[None] if segments is None else g):
+        for (lo, hi), gb in zip(spans, g):
             out[lo:hi] = gb / (hi - lo)
         return (out,)
 
-    return _make(data[0] if segments is None else data, (a,), bw)
+    return _make(data, (a,), bw)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:

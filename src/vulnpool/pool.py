@@ -58,23 +58,6 @@ class LanguageAssignment:
             raise PoolError(f"language {language.tag} has no assigned pool indices")
         return self.mapping[language]
 
-    def validate(self, pool_size: int):
-        seen: dict[int, Language] = {}
-        for lang in LANGUAGES:
-            if lang not in self.mapping:
-                raise PoolError(f"language {lang.tag} missing from assignment")
-            idxs = self.mapping[lang]
-            if not idxs:
-                raise PoolError(f"language {lang.tag} has an empty index list")
-            for i in idxs:
-                if not 0 <= i < pool_size:
-                    raise PoolError(f"index {i} for {lang.tag} out of range [0, {pool_size})")
-                if i in seen:
-                    raise PoolError(
-                        f"index {i} assigned to both {seen[i].tag} and {lang.tag}"
-                    )
-                seen[i] = lang
-
     def to_record(self) -> dict:
         return {lang.tag: list(idxs) for lang, idxs in self.mapping.items()}
 
@@ -98,14 +81,6 @@ class AdaptedEmbedding:
     matrix: Tensor
     segments: list[tuple[int, int]]  # each sequence's (start, stop) rows
     prompt_len: int  # prompt rows at the head of every sequence
-
-
-def query(x_e: Tensor, segments=None) -> Tensor:
-    """The [CLS]-position row of the embedded sequence, or of each packed
-    sequence's (start, stop) `segments` as (B, d)."""
-    if x_e.shape[0] == 0:
-        raise PoolError("cannot take a query from an empty sequence")
-    return nc.gather_rows(x_e, 0 if segments is None else [lo for lo, _ in segments])
 
 
 def select(q: np.ndarray, keys: list[Tensor], k: int = 1, allowed: np.ndarray | None = None

@@ -94,10 +94,6 @@ class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int | None = None
 
-    def to_records(self) -> list[dict]:
-        head = {"initial_train_loss": self.initial_train_loss, "best_epoch": self.best_epoch}
-        return [head] + [e.to_record() for e in self.epochs]
-
 
 # ---------------------------------------------------------------------------
 # optimizer
@@ -404,12 +400,14 @@ def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str, values
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
     field_name, grid = SWEEP_AXES[axis]
     values = list(values) if values is not None else list(grid)
-    rows = []
+    configs = []
     for value in values:
         changes = {field_name: value}
         if field_name == "matrices_per_language":
             changes["pool_size"] = None  # the pool grows with the matrices per language
-        run_cfg = replace(base_config, **changes)
+        configs.append(replace(base_config, **changes).validate())  # all before training any
+    rows = []
+    for value, run_cfg in zip(values, configs):
         model = build_model(run_cfg, vocab)
         if log:
             log(f"sweep {axis}={value}: training")

@@ -102,9 +102,9 @@ def test_criterion_2_gradient_integrity():
     # two languages so several pool matrices and keys receive real gradients
     chosen = [s for s in samples if s.language in (Language.C, Language.JAVA)][:2]
 
-    def joint_loss(_ignored):
-        losses = [model.sample_loss(s, train_mode=True) for s in chosen]
-        return nc.scale(nc.add_n(losses), 1.0 / len(losses))
+    def joint_loss(_ignored):  # mean joint loss of one batched forward
+        out = model.forward(chosen, train_mode=True)
+        return model.loss(out.logits, [s.label for s in chosen], out.phi)
 
     # coordinates with gradients of order 1e-9 drown in float roundoff at
     # the base step, high-curvature ones in truncation at larger steps; the

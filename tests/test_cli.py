@@ -98,6 +98,9 @@ NON_DEFAULT = {
     "beta1": "0.8", "beta2": "0.99", "eps": "1e-6", "grad_clip": "1.0",
     "n_per_language": "10", "vuln_rate": "0.3",
 }
+# other settings a value needs to be valid: in the default pool_masked mode,
+# top_k may not exceed the matrices per language
+NEEDS = {"top_k": {"matrices_per_language": "2"}}
 HINTS = typing.get_type_hints(RunConfig)
 FLOAT_KEYS = [f.name for f in dataclasses.fields(RunConfig)
               if float in (HINTS[f.name], *typing.get_args(HINTS[f.name]))]
@@ -113,11 +116,13 @@ def config_flags(name):
 def test_every_config_key_has_one_flag(field, tmp_path):
     flags = config_flags(field.name)
     assert len(flags) == 1, flags
-    args = cli.make_parser().parse_args(["synth", flags[0], NON_DEFAULT[field.name]])
-    cfg = cli._run_config(args)
+    settings = {field.name: NON_DEFAULT[field.name], **NEEDS.get(field.name, {})}
+    argv = ["synth"] + [arg for key, value in settings.items()
+                        for arg in (config_flags(key)[0], value)]
+    cfg = cli._run_config(cli.make_parser().parse_args(argv))
     assert getattr(cfg, field.name) != field.default
     assert cfg == dataclasses.replace(
-        RunConfig(), **{field.name: cfgmod._parse_value(field.name, NON_DEFAULT[field.name])})
+        RunConfig(), **{key: cfgmod._parse_value(key, value) for key, value in settings.items()})
     snap = tmp_path / "snap.cfg"
     snap.write_text(cfg.snapshot())
     assert build_run_config(str(snap), {}) == cfg
@@ -351,6 +356,40 @@ def test_eval_non_string_cwe_exits_2(corpus_dir, tmp_path, capsys):
                        "--max-tokens", "64") == 2
         err = capsys.readouterr().err
         assert repr(key) in err and err.count("\n") == 1
+
+
+def test_non_string_record_id_exits_2(tmp_path, capsys):
+    # ids were stringified, so two records with a null id collided as "None"
+    raw = tmp_path / "raw.jsonl"
+    for value in (None, ["a"], 7):
+        raw.write_text(json.dumps({"id": value, "language": "C", "code": "int x;",
+                                   "label": 0}) + "\n")
+        capsys.readouterr()
+        assert run_cli("build-vocab", "--data", str(raw), "--out", str(tmp_path / "v.txt")) == 2
+        err = capsys.readouterr().err
+        assert "line 1: field 'id' must be a string" in err and err.count("\n") == 1
+
+
+def test_report_truncated_history_exits_2(tmp_path, capsys):
+    record = json.dumps({"epoch": 0, "train_loss": 0.5, "val_recall": 1.0,
+                         "val_precision": 0.5, "val_f1": 0.6})
+    (tmp_path / "history.jsonl").write_text(record + "\n" + record[:30])  # cut mid-write
+    assert run_cli("report", "--run", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "history.jsonl: line 2: malformed record" in err and err.count("\n") == 1
+
+
+def test_masked_top_k_above_block_exits_1(corpus_dir, tmp_path, capsys):
+    # masked training selects top_k within the language's block, so the block
+    # must hold top_k matrices; a sweep checks every value before training any
+    assert run_cli("train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),
+                   "--mode", "pool_masked", "--topk", "2", *TINY_TRAIN_FLAGS) == 1
+    err = capsys.readouterr().err
+    assert "matrices_per_language 1 in pool_masked mode" in err and err.count("\n") == 1
+    assert run_cli("sweep", "--axis", "topk", "--data", str(corpus_dir),
+                   "--out", str(tmp_path / "s"), *TINY_TRAIN_FLAGS) == 1
+    out, err = capsys.readouterr()
+    assert "training" not in out and err.count("\n") == 1
 
 
 def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):

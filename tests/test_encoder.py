@@ -18,13 +18,13 @@ def test_config_rejects_indivisible_heads():
 
 def test_embed_shape():
     enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=0)
-    x = enc.embed([0, 1])
+    x = enc.embed([0, 1], [(0, 2)])
     assert x.shape == (2, 8)
 
 
 def test_embed_identical_tokens_differ_by_position_rows():
     enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=0)
-    x = enc.embed([0, 5, 5, 1])
+    x = enc.embed([0, 5, 5, 1], [(0, 4)])
     pos = enc.params["embed.pos"].data
     assert np.allclose(x.data[1] - x.data[2], pos[1] - pos[2])
 
@@ -32,27 +32,27 @@ def test_embed_identical_tokens_differ_by_position_rows():
 def test_embed_zeroed_position_table_gives_equal_rows():
     enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=0)
     enc.params["embed.pos"].data[...] = 0.0
-    x = enc.embed([0, 5, 5, 1])
+    x = enc.embed([0, 5, 5, 1], [(0, 4)])
     assert np.array_equal(x.data[1], x.data[2])
 
 
 def test_embed_rejects_out_of_range_ids():
     enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=0)
     with pytest.raises(IndexError, match="16"):
-        enc.embed([0, 99])
+        enc.embed([0, 99], [(0, 2)])
 
 
 def test_embed_rejects_over_length():
     enc = Encoder.init_random(tiny_config(max_positions=4), vocab_size=16, seed=0)
     with pytest.raises(ValueError, match="max_positions"):
-        enc.embed([0] * 5)
+        enc.embed([0] * 5, [(0, 5)])
 
 
 def test_encode_output_shape_matches_input():
     enc = Encoder.init_random(tiny_config(n_layers=2, n_heads=2), vocab_size=16, seed=1)
     for rows in (1, 3, 9):
         x = nc.tensor(np.random.default_rng(rows).normal(size=(rows, 8)))
-        assert enc.encode(x).shape == (rows, 8)
+        assert enc.encode(x, [(0, rows)]).shape == (rows, 8)
 
 
 def test_encode_single_row_matches_numpy_reimplementation():
@@ -78,7 +78,7 @@ def test_encode_single_row_matches_numpy_reimplementation():
     out = a + (f @ p["enc.0.ffn.w2"].data + p["enc.0.ffn.b2"].data)
     expected = ln(out, p["enc.lnf.g"].data, p["enc.lnf.b"].data)
 
-    got = enc.encode(nc.tensor(x)).data
+    got = enc.encode(nc.tensor(x), [(0, 1)]).data
     assert np.allclose(got, expected, atol=1e-12)
 
 
@@ -88,16 +88,16 @@ def test_encode_permutation_equivariant():
     for _ in range(5):
         x = r.normal(size=(6, 8))
         perm = r.permutation(6)
-        out = enc.encode(nc.tensor(x)).data
-        out_perm = enc.encode(nc.tensor(x[perm])).data
+        out = enc.encode(nc.tensor(x), [(0, 6)]).data
+        out_perm = enc.encode(nc.tensor(x[perm]), [(0, 6)]).data
         assert np.allclose(out[perm], out_perm, atol=1e-12)
 
 
 def test_encode_deterministic_with_dropout_zero():
     enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=8)
     x = np.random.default_rng(9).normal(size=(4, 8))
-    a = enc.encode(nc.tensor(x)).data
-    b = enc.encode(nc.tensor(x)).data
+    a = enc.encode(nc.tensor(x), [(0, 4)]).data
+    b = enc.encode(nc.tensor(x), [(0, 4)]).data
     assert np.array_equal(a, b)
 
 

@@ -38,10 +38,9 @@ def test_classifier_reads_mean_of_prompt_rows(small_corpus):
     sample = small_corpus[0]
     out = model.forward([sample], train_mode=False)
     with nc.no_grad():
-        seq = tok.encode(sample.code, model.vocab, model.config.max_tokens)
-        x_e = model.encoder.embed(seq.ids)
-        adapted = pl.adapt(out.selections, model.pool, x_e, [(0, len(seq.ids))])
-        h = model.encoder.encode(adapted.matrix)
+        x_e, segments = model.embed(model.tokenize([sample]))
+        adapted = pl.adapt(out.selections, model.pool, x_e, segments)
+        h = model.encoder.encode(adapted.matrix, adapted.segments)
     pooled = h.data[0:5].mean(axis=0)
     expected = pooled @ model.classifier_w.data + model.classifier_b.data
     assert np.allclose(out.logits.data, expected, atol=1e-12)
@@ -56,22 +55,36 @@ def test_masked_training_uses_assigned_index_inference_is_unrestricted(small_cor
         assert train_out.selections[0].i_star == go_index
         # inference ignores the language and selects over the whole pool
         eval_out = model.forward([s], train_mode=False)
-        seq = tok.encode(s.code, model.vocab, model.config.max_tokens)
         with nc.no_grad():
-            q = model.query_vector(model.encoder.embed(seq.ids))
-        assert eval_out.selections[0].i_star == pl.select(q.data[None], model.keys)[0].i_star
+            q = model.query_vector(*model.embed(model.tokenize([s])))
+        assert eval_out.selections[0].i_star == pl.select(q.data, model.keys)[0].i_star
 
 
 def test_masked_training_pulls_only_assigned_key(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked")
     sample = [s for s in small_corpus if s.language is Language.JAVA][0]
     assigned = model.assignment.indices_for(Language.JAVA)[0]
-    nc.backward(model.sample_loss(sample, train_mode=True))
+    out = model.forward([sample], train_mode=True)
+    nc.backward(model.loss(out.logits, [sample.label], out.phi))
     for i, k in enumerate(model.keys):
         if i == assigned:
             assert k.grad is not None and np.abs(k.grad).max() > 0
         else:
             assert k.grad is None
+
+
+def test_masked_training_selects_top_k_within_the_language_block(small_corpus):
+    # training and prediction both read top_k matrices: within the language's
+    # block in masked training, over the whole pool otherwise
+    model = build_tiny_model(small_corpus, mode="pool_masked", top_k=2, pool_size=14,
+                             matrices_per_language=2)
+    batch = small_corpus[:10]
+    train_out = model.forward(batch, train_mode=True)
+    for s, selection in zip(batch, train_out.selections):
+        assert sorted(selection.indices) == list(model.assignment.indices_for(s.language))
+    assert all(len(p.selection.indices) == 2 for p in model.predict_many(batch))
+    with pytest.raises(ValueError, match="matrices_per_language"):
+        ModelConfig(mode="pool_masked", top_k=2, matrices_per_language=1)
 
 
 def test_loss_lambda_zero_is_plain_cross_entropy(small_corpus):
@@ -232,15 +245,15 @@ def test_surrogate_increases_under_model_forward(small_corpus):
 def test_query_from_embed_cls_uses_first_row(small_corpus):
     model = build_tiny_model(small_corpus)
     model.config.query_from = "embed_cls"
-    seq = tok.encode(small_corpus[0].code, model.vocab, 64)
     with nc.no_grad():
-        x_e = model.encoder.embed(seq.ids)
-        q = model.query_vector(x_e)
-    assert np.array_equal(q.data, x_e.data[0])
+        x_e, segments = model.embed(model.tokenize(small_corpus[:3]))
+        q = model.query_vector(x_e, segments)
+    assert np.array_equal(q.data, x_e.data[[lo for lo, _ in segments]])
     model.config.query_from = "embed_mean"
     with nc.no_grad():
-        q2 = model.query_vector(x_e)
-    assert np.array_equal(q2.data, x_e.data.mean(axis=0))
+        q2 = model.query_vector(x_e, segments)
+    assert np.array_equal(q2.data, np.stack([x_e.data[lo:hi].mean(axis=0)
+                                             for lo, hi in segments]))
 
 
 def test_copy_produces_identical_model(small_corpus):

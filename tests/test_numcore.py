@@ -106,11 +106,11 @@ def test_attention_backward_matches_reference_formula():
     segments = [(0, 1), (1, 4), (4, 44)]
     q, k, v = (nc.parameter(r.normal(size=(44, 8))) for _ in range(3))
     g = r.normal(size=(44, 8))
-    nc.backward(nc.sum_all(nc.mul(nc.attention(q, k, v, segments, 2), nc.tensor(g))))
+    grads = nc.attention(q, k, v, segments, 2)._backward(g)
     for lo, hi in segments:
         expected = attention_backward_reference(q.data[lo:hi], k.data[lo:hi], v.data[lo:hi],
                                                 g[lo:hi], 2)
-        for got, want in zip((q.grad, k.grad, v.grad), expected):
+        for got, want in zip(grads, expected):
             assert np.abs(got[lo:hi] - want).max() <= 1e-12, (lo, hi)
 
 
@@ -153,7 +153,6 @@ def test_segment_mean_values():
     x = rng(6).normal(size=(6, 3))
     out = nc.segment_mean(nc.tensor(x), [(0, 2), (2, 3), (4, 6)]).data
     assert np.array_equal(out, np.stack([x[0:2].mean(axis=0), x[2], x[4:6].mean(axis=0)]))
-    assert np.array_equal(nc.segment_mean(nc.tensor(x)).data, x.mean(axis=0))
     with pytest.raises(nc.ShapeError, match="segment"):
         nc.segment_mean(nc.tensor(x), [(2, 4), (3, 5)])
 
@@ -200,12 +199,6 @@ def test_backward_of_sum_is_ones():
     assert np.array_equal(x.grad, np.ones(3))
 
 
-def test_backward_of_dot_square_is_2x():
-    x = nc.parameter([1.0, -2.0, 0.5])
-    nc.backward(nc.dot(x, x))
-    assert np.allclose(x.grad, 2 * x.data)
-
-
 def test_backward_requires_scalar():
     x = nc.parameter(np.ones((2, 2)))
     with pytest.raises(nc.ShapeError, match="scalar"):
@@ -217,7 +210,7 @@ def test_backward_accumulates_until_reset():
     nc.backward(nc.sum_all(x))
     nc.backward(nc.sum_all(x))
     assert np.array_equal(x.grad, 2 * np.ones(2))
-    x.zero_grad()
+    x.grad = None
     nc.backward(nc.sum_all(x))
     assert np.array_equal(x.grad, np.ones(2))
 
@@ -232,6 +225,14 @@ def test_no_grad_suppresses_graph():
 
 # ---------------------------------------------------------------------------
 # finite-difference verification of every op
+
+def scalarize(t):
+    """A scalar probe of `t`: the softmax cross-entropy of each row against a
+    fixed label, summed. Its upstream gradient differs from coordinate to
+    coordinate, unlike a plain sum's."""
+    labels = np.arange(t.shape[0]) % t.shape[1] if t.data.ndim == 2 else 0
+    return nc.sum_all(nc.cross_entropy_logits(t, labels))
+
 
 def _check(f, x, tol=1e-6):
     report = nc.grad_check(f, x, eps=1e-5, tol=tol)
@@ -256,11 +257,11 @@ def test_grad_check_cross_entropy_r2():
 @pytest.mark.parametrize(
     "name",
     ["linear_x", "linear_w", "linear_b", "matmul_rowwise_a", "matmul_rowwise_b",
-     "add_bias", "mul", "scale", "sub",
+     "add_bias", "scale", "sub",
      "layer_norm_x", "layer_norm_g", "layer_norm_b", "gelu",
-     "slice_rows", "concat_rows", "concat_rows_vector", "gather_rows",
-     "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b", "dot", "add_n",
-     "segment_mean", "segment_mean_all", "cross_entropy_rows",
+     "concat_rows", "concat_rows_vector", "gather_rows",
+     "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b",
+     "segment_mean", "cross_entropy_rows",
      "attention_q", "attention_k", "attention_v"],
 )
 def test_grad_check_each_op(name):
@@ -282,9 +283,6 @@ def test_grad_check_each_op(name):
         args = [x if i == slot else t for i, t in enumerate(qkv)]
         return scalarize(nc.attention(*args, segments, 2))
 
-    def scalarize(t):
-        return nc.sum_all(nc.mul(t, t)) if t.data.ndim else nc.mul(t, t)
-
     cases = {
         "linear_x": ((4, 5), lambda x: scalarize(nc.linear(x, mat53, vec3))),
         "linear_w": ((5, 3), lambda x: scalarize(nc.linear(mat45, x, vec3))),
@@ -292,7 +290,6 @@ def test_grad_check_each_op(name):
         "matmul_rowwise_a": ((4, 5), lambda x: scalarize(nc.matmul_rowwise(x, mat53))),
         "matmul_rowwise_b": ((5, 3), lambda x: scalarize(nc.matmul_rowwise(mat45, x))),
         "add_bias": ((3,), lambda x: scalarize(nc.add(other, x))),
-        "mul": ((4, 3), lambda x: scalarize(nc.mul(x, other))),
         "scale": ((4, 3), lambda x: scalarize(nc.scale(x, -2.5))),
         "sub": ((4, 3), lambda x: scalarize(nc.sub(x, other))),
         "layer_norm_x": ((3, 6), lambda x: scalarize(nc.layer_norm(x, vec6a, vec6b))),
@@ -301,7 +298,6 @@ def test_grad_check_each_op(name):
         "layer_norm_b": ((6,), lambda b: scalarize(nc.layer_norm(mat36, nc.tensor(np.ones(6)),
                                                                  b))),
         "gelu": ((4, 3), lambda x: scalarize(nc.gelu(x))),
-        "slice_rows": ((5, 3), lambda x: scalarize(nc.slice_rows(x, 1, 4))),
         "concat_rows": ((2, 3), lambda x: scalarize(nc.concat_rows([x, other]))),
         "concat_rows_vector": ((3,), lambda x: scalarize(nc.concat_rows([other, x, x]))),
         "gather_rows": ((5, 3), lambda x: scalarize(nc.gather_rows(x, [0, 2, 2, 4]))),
@@ -309,11 +305,8 @@ def test_grad_check_each_op(name):
         "cosine_b": ((4,), lambda x: nc.cosine_similarity(vec, x)),
         "cosine_rows_a": ((4, 5), lambda x: scalarize(nc.cosine_similarity(x, mat45b))),
         "cosine_rows_b": ((4, 5), lambda x: scalarize(nc.cosine_similarity(mat45b, x))),
-        "dot": ((4,), lambda x: nc.dot(x, x)),
-        "add_n": ((4, 3), lambda x: scalarize(nc.add_n([x, other, x]))),
         "segment_mean": ((6, 3), lambda x: scalarize(
             nc.segment_mean(x, [(0, 2), (2, 3), (4, 6)]))),
-        "segment_mean_all": ((5, 3), lambda x: scalarize(nc.segment_mean(x))),
         "cross_entropy_rows": ((4, 3), lambda x: nc.sum_all(
             nc.cross_entropy_logits(x, [2, 0, 1, 1]))),
         "attention_q": ((6, 4), lambda x: attend(x, 0)),
@@ -334,8 +327,7 @@ def test_grad_check_three_layer_composition():
     def f(x):
         h = nc.gelu(nc.linear(x, w1, b1))
         h = nc.layer_norm(nc.linear(h, w2, b2), gamma, beta)
-        s = nc.attention(h, h, h, [(0, 3)], 2)
-        return nc.sum_all(nc.mul(s, s))
+        return scalarize(nc.attention(h, h, h, [(0, 3)], 2))
 
     x = nc.parameter(r.normal(size=(3, 6)))
     _check(f, x)
@@ -344,17 +336,16 @@ def test_grad_check_three_layer_composition():
 def test_gradients_flow_through_shared_subexpression():
     # same tensor used twice: gradients from both paths must accumulate
     x = nc.parameter([1.0, 2.0])
-    y = nc.add(nc.dot(x, x), nc.sum_all(x))  # d/dx = 2x + 1
+    y = nc.sum_all(nc.add(nc.scale(x, 3.0), x))  # d/dx = 3 + 1
     nc.backward(y)
-    assert np.allclose(x.grad, 2 * x.data + 1)
+    assert np.array_equal(x.grad, np.full(2, 4.0))
 
 
 def test_grad_check_retry_ladder_rescues_coarse_step():
     # around the gelu knee a 5e-3 probe step is truncation-limited; the
     # finer retry step recovers agreement with the analytic gradient
     def f(t):
-        s = nc.gelu(nc.scale(t, 10.0))
-        return nc.sum_all(nc.mul(s, s))
+        return scalarize(nc.gelu(nc.scale(t, 10.0)))
 
     x = nc.parameter(rng(31).normal(size=6) * 0.15)
     coarse = nc.grad_check(f, x, eps=5e-3, tol=1e-6)
@@ -366,7 +357,7 @@ def test_grad_check_retry_ladder_rescues_coarse_step():
 def test_grad_check_retry_does_not_mask_wrong_gradients():
     # a gradient that is analytically wrong fails at every probe step
     def f(t):
-        out = nc.sum_all(nc.mul(t, t))
+        out = scalarize(t)
         broken = nc.Tensor(out.data)
         broken.requires_grad = True
         broken._parents = (t,)

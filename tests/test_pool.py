@@ -5,6 +5,8 @@ from vulnpool import numcore as nc
 from vulnpool import pool as pl
 from vulnpool.corpus import LANGUAGES, Language
 
+from conftest import build_tiny_model
+
 
 def make_keys(vectors):
     return [nc.parameter(np.asarray(v, dtype=float)) for v in vectors]
@@ -39,30 +41,45 @@ def brute_force_rank(q, keys):
 # ---------------------------------------------------------------------------
 # query
 
-def test_query_returns_first_row():
-    x = nc.tensor(np.arange(12.0).reshape(3, 4))
-    assert np.array_equal(pl.query(x).data, x.data[0])
+@pytest.fixture(scope="module")
+def cls_model(small_corpus):
+    """A model whose query is each sequence's [CLS]-position embedding row."""
+    model = build_tiny_model(small_corpus)
+    model.config.query_from = "embed_cls"
+    return model
 
 
-def test_query_ignores_other_rows():
+def test_query_returns_first_row(cls_model):
+    x = nc.tensor(np.arange(24.0).reshape(6, 4))
+    q = cls_model.query_vector(x, [(0, 3), (3, 4), (4, 6)])
+    assert np.array_equal(q.data, x.data[[0, 3, 4]])
+
+
+def test_query_ignores_other_rows(cls_model):
     r = np.random.default_rng(0)
-    base = r.normal(size=(4, 6))
+    base = r.normal(size=(7, 6))
+    segments = [(0, 4), (4, 7)]
     changed = base.copy()
-    changed[2] = r.normal(size=6)
-    assert np.array_equal(pl.query(nc.tensor(base)).data, pl.query(nc.tensor(changed)).data)
+    changed[[2, 5]] = r.normal(size=(2, 6))
+    assert np.array_equal(cls_model.query_vector(nc.tensor(base), segments).data,
+                          cls_model.query_vector(nc.tensor(changed), segments).data)
 
 
-def test_query_empty_sequence_rejected():
-    with pytest.raises(pl.PoolError, match="empty"):
-        pl.query(nc.tensor(np.zeros((0, 4))))
+def test_query_empty_sequence_rejected(cls_model):
+    # an empty batch fails at embedding, before any query is taken
+    with pytest.raises(ValueError, match="tile"):
+        cls_model.embed([])
 
 
-def test_query_recomputation_oracle():
-    # q equals the stored [CLS] row across 100 random embeddings
+def test_query_recomputation_oracle(cls_model):
+    # each q equals its sequence's stored [CLS] row across 100 random packed embeddings
     r = np.random.default_rng(1)
     for _ in range(100):
-        x = r.normal(size=(r.integers(1, 9), 5))
-        assert np.array_equal(pl.query(nc.tensor(x)).data, x[0])
+        lengths = r.integers(1, 9, size=int(r.integers(1, 5)))  # 1-4 packed sequences
+        starts = np.cumsum(lengths) - lengths
+        x = r.normal(size=(int(lengths.sum()), 5))
+        q = cls_model.query_vector(nc.tensor(x), list(zip(starts, starts + lengths)))
+        assert np.array_equal(q.data, x[starts])
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +237,7 @@ def test_adapt_gradient_flows_only_into_selected_matrices():
     pool = pl.init_random(5, (4, 6), r)
     x_e = nc.tensor(r.normal(size=(7, 6)))
     adapted = pl.adapt([pl.Selection((2,), (1.0,))], pool, x_e, [(0, 7)])
-    prompt = nc.slice_rows(adapted.matrix, 0, adapted.prompt_len)
-    loss = nc.sum_all(nc.mul(prompt, prompt))
-    nc.backward(loss)
+    nc.backward(nc.sum_all(nc.gather_rows(adapted.matrix, range(adapted.prompt_len))))
     assert pool[2].grad is not None
     assert np.abs(pool[2].grad).max() > 0
     for j in (0, 1, 3, 4):
@@ -252,23 +267,16 @@ def test_surrogate_similarity_mean_over_selection():
 
 def test_default_assignment_contiguous_blocks():
     assignment = pl.LanguageAssignment.default(per_language=2)
-    assignment.validate(pool_size=14)
     assert assignment.indices_for(LANGUAGES[0]) == (0, 1)
     assert assignment.indices_for(LANGUAGES[6]) == (12, 13)
     all_indices = [i for lang in LANGUAGES for i in assignment.indices_for(lang)]
     assert sorted(all_indices) == list(range(14))
 
 
-def test_assignment_validation_catches_overlap():
-    mapping = {lang: (0,) for lang in LANGUAGES}
-    with pytest.raises(pl.PoolError, match="assigned to both"):
-        pl.LanguageAssignment(mapping).validate(pool_size=7)
-
-
 def test_assignment_validation_catches_missing_language():
     mapping = {lang: (i,) for i, lang in enumerate(LANGUAGES) if lang is not Language.GO}
     with pytest.raises(pl.PoolError, match="Go"):
-        pl.LanguageAssignment(mapping).validate(pool_size=7)
+        pl.LanguageAssignment(mapping).indices_for(Language.GO)
 
 
 def test_reinit_zero_keys():
