@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -179,46 +180,56 @@ def save_records(samples, path):
 # ---------------------------------------------------------------------------
 # comment stripping
 
+# Each stripper jumps by one regex search from a special token (a comment
+# opener or a quote) to the next, and copies the code in between as one slice.
+_C_TOKEN = re.compile(r"//|/\*|[\"'`]")
+_PY_TOKEN = re.compile(r"\"\"\"|'''|[#\"']")
+# inside a one-line literal: an escape, the closing quote or the cutting newline
+_LITERAL_STOP = {q: re.compile(rf"[\\{q}\n]") for q in "\"'"}
+
+
+def _literal_end(code: str, i: int, quote: str) -> int:
+    """Index just past the one-line literal whose body starts at `i`: past
+    its closing quote or the newline that cuts it off, where a backslash
+    escapes the character after it; the end of input if neither comes."""
+    stop = _LITERAL_STOP[quote]
+    while True:
+        m = stop.search(code, i)
+        if m is None:
+            return len(code)
+        if m.group() != "\\":
+            return m.end()
+        i = m.end() + 1
+
+
 def _strip_c_family(code: str) -> str:
     out = []
     i, n = 0, len(code)
-    while i < n:
-        ch = code[i]
-        nxt = code[i + 1] if i + 1 < n else ""
-        if ch == "/" and nxt == "/":
-            j = code.find("\n", i)
-            i = n if j == -1 else j  # newline re-emitted in code state
-            continue
-        if ch == "/" and nxt == "*":
-            j = code.find("*/", i + 2)
-            if j == -1:
+    while (m := _C_TOKEN.search(code, i)) is not None:
+        j = m.start()
+        out.append(code[i:j])
+        token = m.group()
+        if token == "//":
+            k = code.find("\n", j)
+            i = n if k == -1 else k  # newline re-emitted in code state
+        elif token == "/*":
+            k = code.find("*/", j + 2)
+            if k == -1:
                 warnings.warn("unterminated block comment stripped to end of input", StripWarning)
-                out.append("\n" * code.count("\n", i))
+                out.append("\n" * code.count("\n", j))
                 i = n
             else:
                 # keep interior newlines so line numbering survives
-                out.append("\n" * code.count("\n", i, j + 2))
-                i = j + 2
-            continue
-        if ch in "\"'`":
-            quote = ch
-            out.append(ch)
-            i += 1
-            while i < n:
-                c = code[i]
-                out.append(c)
-                i += 1
-                if c == "\\" and quote != "`" and i < n:
-                    out.append(code[i])
-                    i += 1
-                    continue
-                if c == quote:
-                    break
-                if c == "\n" and quote != "`":
-                    break  # unterminated single-line literal: fall back to code state
-            continue
-        out.append(ch)
-        i += 1
+                out.append("\n" * code.count("\n", j, k + 2))
+                i = k + 2
+        else:
+            if token == "`":  # template literal: no escapes, spans lines
+                k = code.find("`", j + 1)
+                i = n if k == -1 else k + 1
+            else:  # an unterminated one-line literal falls back to code state
+                i = _literal_end(code, j + 1, token)
+            out.append(code[j:i])
+    out.append(code[i:])
     return "".join(out)
 
 
@@ -226,52 +237,37 @@ def _strip_python(code: str) -> str:
     out = []
     i, n = 0, len(code)
     only_ws = True  # current line so far (after stripping) is whitespace
-    while i < n:
-        if code.startswith('"""', i) or code.startswith("'''", i):
-            q = code[i : i + 3]
-            j = code.find(q, i + 3)
-            end = n if j == -1 else j + 3
-            nl = code.find("\n", end)
-            trailing = code[end : n if nl == -1 else nl].strip()
+    while True:
+        m = _PY_TOKEN.search(code, i)
+        j = n if m is None else m.start()
+        text = code[i:j]
+        out.append(text)
+        line = text.rfind("\n")  # a newline starts a blank line; what follows it decides
+        tail = text[line + 1:]
+        only_ws = (only_ws or line != -1) and (not tail or tail.isspace())
+        if m is None:
+            return "".join(out)
+        token = m.group()
+        if token == "#":
+            k = code.find("\n", j)
+            i = n if k == -1 else k
+        elif len(token) == 3:
+            k = code.find(token, j + 3)
+            i = n if k == -1 else k + 3
+            nl = code.find("\n", i)
+            trailing = code[i : n if nl == -1 else nl].strip()
             if only_ws and (trailing == "" or trailing.startswith("#")):
                 # bare-expression triple-quoted string (a comment may follow): a docstring
-                if j == -1:
+                if k == -1:
                     warnings.warn("unterminated triple-quoted string stripped", StripWarning)
-                out.append("\n" * code.count("\n", i, end))
-                i = end
+                out.append("\n" * code.count("\n", j, i))
             else:
-                out.append(code[i:end])
+                out.append(code[j:i])
                 only_ws = False
-                i = end
-            continue
-        ch = code[i]
-        if ch == "#":
-            j = code.find("\n", i)
-            i = n if j == -1 else j
-            continue
-        if ch in "\"'":
-            quote = ch
-            out.append(ch)
+        else:
+            i = _literal_end(code, j + 1, token)
+            out.append(code[j:i])
             only_ws = False
-            i += 1
-            while i < n:
-                c = code[i]
-                out.append(c)
-                i += 1
-                if c == "\\" and i < n:
-                    out.append(code[i])
-                    i += 1
-                    continue
-                if c == quote or c == "\n":
-                    break
-            continue
-        out.append(ch)
-        if ch == "\n":
-            only_ws = True
-        elif not ch.isspace():
-            only_ws = False
-        i += 1
-    return "".join(out)
 
 
 def strip_comments(code: str, language: Language) -> str:

@@ -62,12 +62,19 @@ class ModelConfig:
             )
         if not 1 <= self.top_k <= self.pool_size:
             raise ValueError(f"top_k must lie in [1, {self.pool_size}], got {self.top_k}")
-        if self.mode == "pool_masked" and self.top_k > self.matrices_per_language:
-            # masked training selects top_k within the language's own block
-            raise ValueError(
-                f"top_k {self.top_k} exceeds matrices_per_language "
-                f"{self.matrices_per_language} in pool_masked mode"
-            )
+        if self.mode == "pool_masked":
+            # masked training selects top_k within the language's own block,
+            # and the pool must hold every language's block
+            if self.pool_size < len(pl.LANGUAGES) * self.matrices_per_language:
+                raise ValueError(
+                    f"pool_size {self.pool_size} cannot hold {len(pl.LANGUAGES)} languages x "
+                    f"matrices_per_language {self.matrices_per_language} in pool_masked mode"
+                )
+            if self.top_k > self.matrices_per_language:
+                raise ValueError(
+                    f"top_k {self.top_k} exceeds matrices_per_language "
+                    f"{self.matrices_per_language} in pool_masked mode"
+                )
         if self.max_tokens < 2:
             raise ValueError(
                 f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, got {self.max_tokens}"
@@ -117,6 +124,8 @@ class VulnPoolModel:
         self.keys = pl.init_random(config.pool_size, (enc_config.d_model,), rng)
         self.classifier_w = nc.parameter(rng.normal(0.0, 0.02, size=(enc_config.d_model, 2)))
         self.classifier_b = nc.parameter(np.zeros(2))
+        for _, p in self.parameters():  # drawn in float64, computed in float32
+            p.data = p.data.astype(np.float32)
         if config.pool_size >= len(pl.LANGUAGES) * config.matrices_per_language:
             self.assignment = pl.LanguageAssignment.default(config.matrices_per_language)
         else:
@@ -141,6 +150,8 @@ class VulnPoolModel:
         return {name: p.data.copy() for name, p in self.parameters()}
 
     def load_params(self, arrays: dict[str, np.ndarray]):
+        """Take a copy of each stored array, in its own dtype: the model then
+        computes in that dtype (a float64 checkpoint predicts in float64)."""
         for name, p in self.parameters():
             if name not in arrays:
                 raise KeyError(f"missing parameter {name!r}")
@@ -149,7 +160,7 @@ class VulnPoolModel:
                     f"parameter {name!r}: expected shape {p.data.shape}, "
                     f"got {arrays[name].shape}"
                 )
-            p.data[...] = arrays[name]
+            p.data = arrays[name].copy()
             p.grad = None
 
     def copy(self) -> "VulnPoolModel":
@@ -187,12 +198,6 @@ class VulnPoolModel:
 
     def _allowed(self, samples) -> np.ndarray:
         """(B, N) mask of each sample's language-assigned pool indices."""
-        if self.assignment is None:
-            raise pl.PoolError(
-                "pool_masked training requires a language assignment "
-                f"(pool_size {self.config.pool_size} cannot cover "
-                f"{len(pl.LANGUAGES)} x {self.config.matrices_per_language})"
-            )
         allowed = np.zeros((len(samples), self.config.pool_size), dtype=bool)
         for row, s in zip(allowed, samples):
             row[list(self.assignment.indices_for(s.language))] = True
@@ -244,7 +249,8 @@ class VulnPoolModel:
         are exact per row, and the products are row-invariant: the classifier
         uses `matmul_rowwise`, and an encoder product always has two rows or
         more (the [CLS]/[EOS] frame), where BLAS computes a row alike in
-        products of any row count (measured; a one-row product is not)."""
+        products of any row count (tested in float32 and float64; a one-row
+        product is not)."""
         samples = list(samples)
         seqs = self.tokenize(samples)
         prompt = 0 if self.config.mode == "backbone_only" else (

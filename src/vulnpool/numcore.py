@@ -3,8 +3,10 @@
 Small numpy-backed autodiff engine: each op computes its forward value and,
 when gradients are enabled, registers a closure that maps the output gradient
 to per-parent gradients. `backward` walks the graph once in reverse
-topological order. Double precision throughout so finite-difference checks
-have headroom.
+topological order. Every op computes and allocates in the dtype of its
+inputs: a model whose parameters are float32 trains and predicts in float32,
+and float64 inputs (the finite-difference checks, old checkpoints) stay
+float64 throughout.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-
-DTYPE = np.float64
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
@@ -73,7 +73,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=DTYPE)
+        data = np.asarray(data)
+        # a floating array keeps its dtype; anything else (ints, lists) is float64
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self._backward = None
@@ -353,7 +355,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor
 
     qh = heads(q.data * inv_sqrt)
     kh, vh = heads(k.data), heads(v.data)
-    out = np.zeros((n, d))
+    out = np.zeros((n, d), dtype=q.data.dtype)  # C order: heads() must be a view
     out_h = heads(out)
     probs = []
     for lo, hi in spans:
@@ -368,7 +370,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor
         gh = heads(np.ascontiguousarray(g))
         rowsum = np.einsum("hnd,hnd->hn", gh, out_h)[:, :, None]  # rowsum(dP * P)
         qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)  # q unscaled: see below
-        dq, dk, dv = np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, d))
+        dq, dk, dv = (np.zeros((n, d), dtype=out.dtype) for _ in range(3))
         dqh, dkh, dvh = heads(dq), heads(dk), heads(dv)
         for (lo, hi), p in zip(spans, probs):
             np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dvh[:, lo:hi])
@@ -400,7 +402,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         width = table.shape[1]
         flat = (idx[..., None] * width + np.arange(width)).ravel()
         summed = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-        return (summed.reshape(table.shape),)
+        return (summed.astype(table.data.dtype, copy=False).reshape(table.shape),)
 
     return _make(table.data[idx], (table,), bw)
 
@@ -409,7 +411,8 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
+    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    keep /= 1.0 - rate
 
     def bw(g):
         return (g * keep,)

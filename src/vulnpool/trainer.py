@@ -300,6 +300,13 @@ def load_checkpoint(path, vocab: Vocabulary):
     arrays, meta = ckpt.load_arrays(path)
     if meta.get("kind") != "train":
         raise ckpt.CheckpointError(f"{path}: not a training checkpoint: {meta.get('kind')!r}")
+    # the stored dtype is the one the loaded model computes in
+    dtypes = {a.dtype for a in arrays.values()}
+    if len(dtypes) > 1 or any(d.kind != "f" for d in dtypes):
+        raise ckpt.CheckpointError(
+            f"{path}: arrays must share one floating-point dtype, found "
+            f"{', '.join(sorted(d.str for d in dtypes))}"
+        )
     stored_hash = str(meta.get("vocab_hash"))
     if stored_hash != vocab_hash(vocab):
         raise ckpt.CheckpointError(

@@ -340,6 +340,23 @@ def test_eval_bad_manifest_setting_exits_2(corpus_dir, tmp_path, capsys):
         assert key in err and err.count("\n") == 1
 
 
+def test_eval_mixed_dtype_checkpoint_exits_2(corpus_dir, tmp_path, capsys):
+    # a model computes in its parameters' dtype, so they must share one
+    from vulnpool import checkpoint as ckpt
+
+    run_dir = tmp_path / "run"
+    assert run_cli("train", "--data", str(corpus_dir), "--out", str(run_dir),
+                   "--seed", "1", *TINY_TRAIN_FLAGS) == 0
+    arrays, meta = ckpt.load_arrays(run_dir / "best.ckpt")
+    arrays["embed.tok"] = arrays["embed.tok"].astype("<f8")
+    ckpt.save_arrays(run_dir / "best.ckpt", arrays, meta)
+    capsys.readouterr()
+    assert run_cli("eval", "--run", str(run_dir), "--data", str(corpus_dir),
+                   "--max-tokens", "64") == 2
+    err = capsys.readouterr().err
+    assert "one floating-point dtype, found <f4, <f8" in err and err.count("\n") == 1
+
+
 def test_eval_non_string_cwe_exits_2(corpus_dir, tmp_path, capsys):
     # a list is unhashable and mixed int/str keys do not sort: the per-CWE
     # breakdown used to raise TypeError
@@ -387,6 +404,20 @@ def test_masked_top_k_above_block_exits_1(corpus_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "matrices_per_language 1 in pool_masked mode" in err and err.count("\n") == 1
     assert run_cli("sweep", "--axis", "topk", "--data", str(corpus_dir),
+                   "--out", str(tmp_path / "s"), *TINY_TRAIN_FLAGS) == 1
+    out, err = capsys.readouterr()
+    assert "training" not in out and err.count("\n") == 1
+
+
+def test_masked_pool_without_language_blocks_exits_1(corpus_dir, tmp_path, capsys):
+    # masked training needs one block per language; a smaller pool is a config
+    # error before any training, in a sweep as well as in a single run
+    assert run_cli("train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),
+                   "--mode", "pool_masked", "--pool-size", "3", *TINY_TRAIN_FLAGS) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("vulnpool: config error: pool_size 3 cannot hold 7 languages")
+    assert err.count("\n") == 1 and "epoch" not in out
+    assert run_cli("sweep", "--axis", "mode", "--pool-size", "3", "--data", str(corpus_dir),
                    "--out", str(tmp_path / "s"), *TINY_TRAIN_FLAGS) == 1
     out, err = capsys.readouterr()
     assert "training" not in out and err.count("\n") == 1

@@ -266,11 +266,15 @@ def test_copy_produces_identical_model(small_corpus):
                               clone.predict(small_corpus[0]).logits)
 
 
-def test_masked_mode_without_assignment_errors(small_corpus):
-    model = build_tiny_model(small_corpus, mode="pool_masked", pool_size=3, top_k=1)
-    assert model.assignment is None
-    with pytest.raises(pl.PoolError, match="assignment"):
-        model.forward([small_corpus[0]], train_mode=True)
+def test_masked_mode_without_assignment_errors():
+    # a pool too small for one block per language is a config error, not a
+    # runtime one at the first masked batch
+    with pytest.raises(ValueError, match="pool_size 3 cannot hold 7 languages"):
+        ModelConfig(mode="pool_masked", pool_size=3)
+    with pytest.raises(ValueError, match="matrices_per_language 2"):
+        ModelConfig(mode="pool_masked", pool_size=13, matrices_per_language=2)
+    ModelConfig(mode="pool_masked", pool_size=14, matrices_per_language=2)
+    ModelConfig(mode="pool_query", pool_size=3)  # free selection needs no blocks
 
 
 def test_model_config_validation():

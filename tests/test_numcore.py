@@ -136,17 +136,49 @@ def test_batched_rows_match_one_at_a_time():
             nc.cosine_similarity(nc.tensor(a[i]), nc.tensor(b[i])).item(), abs=1e-14)
 
 
-@pytest.mark.parametrize("width, cols", [(16, 2), (32, 2), (64, 2), (32, 64)])
-def test_matmul_rowwise_rows_do_not_depend_on_row_count(width, cols):
+def check_matmul_rowwise_row_invariance(width, cols, dtype, rtol, atol):
     r = rng(width + cols)
-    a = r.normal(size=(40, width))
-    b = nc.tensor(r.normal(size=(width, cols)))
+    a = r.normal(size=(40, width)).astype(dtype)
+    b = nc.tensor(r.normal(size=(width, cols)).astype(dtype))
     alone = [nc.matmul_rowwise(nc.tensor(a[i:i + 1]), b).data[0] for i in range(len(a))]
-    assert np.allclose(np.stack(alone), a @ b.data, rtol=1e-13, atol=1e-15)
+    assert alone[0].dtype == dtype
+    assert np.allclose(np.stack(alone), a @ b.data, rtol=rtol, atol=atol)
     for n in range(1, 34):
         for lo in (0, 40 - n):
             rows = nc.matmul_rowwise(nc.tensor(a[lo:lo + n]), b).data
             assert np.array_equal(rows, np.stack(alone[lo:lo + n])), (n, lo)
+
+
+ROWWISE_SHAPES = [(16, 2), (32, 2), (64, 2), (32, 64)]
+
+
+@pytest.mark.parametrize("width, cols", ROWWISE_SHAPES)
+def test_matmul_rowwise_rows_do_not_depend_on_row_count(width, cols):
+    check_matmul_rowwise_row_invariance(width, cols, np.float64, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("width, cols", ROWWISE_SHAPES)
+def test_matmul_rowwise_rows_do_not_depend_on_row_count_float32(width, cols):
+    check_matmul_rowwise_row_invariance(width, cols, np.float32, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_products_of_two_or_more_rows_are_row_invariant(dtype):
+    # what keeps batched prediction bit-equal to per-sample prediction: an
+    # encoder product always has two rows or more, and BLAS then computes a
+    # row alike in products of any row count (one-row and two-column
+    # products are not, hence matmul_rowwise for the classifier)
+    r = rng(17)
+    for width, cols in [(16, 16), (16, 32), (32, 64), (64, 128), (128, 64)]:
+        a = r.normal(size=(1024, width)).astype(dtype)
+        w = nc.tensor(r.normal(size=(width, cols)).astype(dtype))
+        b = nc.tensor(r.normal(size=cols).astype(dtype))
+        whole = nc.linear(nc.tensor(a), w, b).data
+        assert whole.dtype == dtype
+        for n in (2, 3, 5, 8, 17, 33, 64, 129, 256, 511, 1000):
+            for lo in (0, (1024 - n) // 3, 1024 - n):
+                rows = nc.linear(nc.tensor(a[lo:lo + n]), w, b).data
+                assert np.array_equal(rows, whole[lo:lo + n]), (width, cols, n, lo)
 
 
 def test_segment_mean_values():

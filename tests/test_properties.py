@@ -104,6 +104,129 @@ SOURCE_PIECES = {
 }
 
 
+# The character-at-a-time strippers that the token-jumping ones replaced:
+# the reference their output must equal, warnings included.
+def reference_strip_c_family(code: str) -> str:
+    out = []
+    i, n = 0, len(code)
+    while i < n:
+        ch = code[i]
+        nxt = code[i + 1] if i + 1 < n else ""
+        if ch == "/" and nxt == "/":
+            j = code.find("\n", i)
+            i = n if j == -1 else j  # newline re-emitted in code state
+            continue
+        if ch == "/" and nxt == "*":
+            j = code.find("*/", i + 2)
+            if j == -1:
+                warnings.warn("unterminated block comment stripped to end of input",
+                              corpus.StripWarning)
+                out.append("\n" * code.count("\n", i))
+                i = n
+            else:
+                # keep interior newlines so line numbering survives
+                out.append("\n" * code.count("\n", i, j + 2))
+                i = j + 2
+            continue
+        if ch in "\"'`":
+            quote = ch
+            out.append(ch)
+            i += 1
+            while i < n:
+                c = code[i]
+                out.append(c)
+                i += 1
+                if c == "\\" and quote != "`" and i < n:
+                    out.append(code[i])
+                    i += 1
+                    continue
+                if c == quote:
+                    break
+                if c == "\n" and quote != "`":
+                    break  # unterminated single-line literal: fall back to code state
+            continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+def reference_strip_python(code: str) -> str:
+    out = []
+    i, n = 0, len(code)
+    only_ws = True  # current line so far (after stripping) is whitespace
+    while i < n:
+        if code.startswith('"""', i) or code.startswith("'''", i):
+            q = code[i : i + 3]
+            j = code.find(q, i + 3)
+            end = n if j == -1 else j + 3
+            nl = code.find("\n", end)
+            trailing = code[end : n if nl == -1 else nl].strip()
+            if only_ws and (trailing == "" or trailing.startswith("#")):
+                # bare-expression triple-quoted string (a comment may follow): a docstring
+                if j == -1:
+                    warnings.warn("unterminated triple-quoted string stripped",
+                                  corpus.StripWarning)
+                out.append("\n" * code.count("\n", i, end))
+                i = end
+            else:
+                out.append(code[i:end])
+                only_ws = False
+                i = end
+            continue
+        ch = code[i]
+        if ch == "#":
+            j = code.find("\n", i)
+            i = n if j == -1 else j
+            continue
+        if ch in "\"'":
+            quote = ch
+            out.append(ch)
+            only_ws = False
+            i += 1
+            while i < n:
+                c = code[i]
+                out.append(c)
+                i += 1
+                if c == "\\" and i < n:
+                    out.append(code[i])
+                    i += 1
+                    continue
+                if c == quote or c == "\n":
+                    break
+            continue
+        out.append(ch)
+        if ch == "\n":
+            only_ws = True
+        elif not ch.isspace():
+            only_ws = False
+        i += 1
+    return "".join(out)
+
+
+def reference_strip(code, language):
+    if language is Language.PYTHON:
+        return reference_strip_python(code)
+    return reference_strip_c_family(code)
+
+
+def strip_recording_warnings(strip, code, language):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = strip(code, language)
+    return out, [str(w.message) for w in caught]
+
+
+@BOUNDED
+@given(st.sampled_from(sorted(SOURCE_PIECES, key=lambda lang: lang.tag)).flatmap(
+    lambda lang: st.tuples(st.just(lang),
+                           st.lists(st.sampled_from(SOURCE_PIECES[lang]), max_size=30))))
+def test_strip_comments_matches_the_character_loop(case):
+    language, pieces = case
+    code = "".join(pieces)
+    assert (strip_recording_warnings(corpus.strip_comments, code, language)
+            == strip_recording_warnings(reference_strip, code, language))
+
+
 @BOUNDED
 @given(st.sampled_from(sorted(SOURCE_PIECES, key=lambda lang: lang.tag)).flatmap(
     lambda lang: st.tuples(st.just(lang),
@@ -115,3 +238,40 @@ def test_strip_comments_is_idempotent(case):
         warnings.simplefilter("ignore", corpus.StripWarning)
         once = corpus.strip_comments(code, language)
         assert corpus.strip_comments(once, language) == once
+
+
+# code around a literal: statements and whole comments, each of which leaves
+# the stripper in code state
+CODE_AROUND = {
+    Language.C: ["x = a / b;", " ", "\n", "// note\n", "/* a\nb */", '"s";', "'c';"],
+    Language.JAVASCRIPT: ["x = a / b;", " ", "\n", "// note\n", "/* a\nb */", '"s";', "'c';",
+                          "`t\n`;"],
+    Language.PYTHON: ["x = a / b", " ", "\n", "# note\n", '"""doc"""\n', '"s"', "'c'"],
+}
+LITERAL_QUOTES = {Language.C: "\"'", Language.JAVASCRIPT: "\"'`", Language.PYTHON: "\"'"}
+COMMENT_MARKERS = ["//", "/*", "#", '"""']
+LITERAL_FILLER = ["a", " ", "*/", "'''", "\\\\"]
+
+
+def literals(quote):
+    """Literals opened by `quote` that hold at least one comment marker."""
+    markers = [m for m in COMMENT_MARKERS if quote not in m]
+    body = [p for p in markers + LITERAL_FILLER if quote not in p]
+    if quote != "`":  # a template literal has no escapes
+        body.append("\\" + quote)
+    fill = st.lists(st.sampled_from(body), max_size=6).map("".join)
+    return st.tuples(fill, st.sampled_from(markers), fill).map(
+        lambda parts: quote + "".join(parts) + quote)
+
+
+@BOUNDED
+@given(st.sampled_from(sorted(CODE_AROUND, key=lambda lang: lang.tag)).flatmap(
+    lambda lang: st.tuples(
+        st.just(lang),
+        st.lists(st.sampled_from(CODE_AROUND[lang]), max_size=8).map("".join),
+        st.sampled_from(LITERAL_QUOTES[lang]).flatmap(literals),
+        st.lists(st.sampled_from(CODE_AROUND[lang]), max_size=8).map("".join))))
+def test_strip_comments_keeps_string_literals(case):
+    language, before, literal, after = case
+    code = f"{before}v = {literal};{after}"
+    assert literal in corpus.strip_comments(code, language)

@@ -3,9 +3,10 @@ import gc
 import numpy as np
 import pytest
 
+from vulnpool import checkpoint as ckpt
 from vulnpool import corpus, evaluate as ev, numcore as nc, tokenizer as tok, trainer
 from vulnpool.checkpoint import CheckpointError
-from vulnpool.model import VulnPoolModel
+from vulnpool.model import MODES, VulnPoolModel
 from vulnpool.trainer import AdamState, TrainConfig, adam_step
 
 from conftest import build_tiny_model
@@ -227,8 +228,6 @@ def test_resumed_training_matches_continuous_run(small_split, tmp_path):
 
 
 def test_load_checkpoint_wrong_prompt_len_names_field(small_split, tmp_path):
-    from vulnpool import checkpoint as ckpt
-
     model = fresh_model(small_split)
     path = tmp_path / "m.ckpt"
     trainer.save_checkpoint(model, AdamState(), path)
@@ -253,6 +252,87 @@ def test_load_checkpoint_version_mismatch(tmp_path):
     path.write_bytes(b"some-other-format\n" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="version"):
         trainer.load_checkpoint(path, tok.build_vocab(["a"], max_size=8))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_training_step_stays_float32(small_split, tmp_path, mode):
+    # dropout on and two keys per query in pool_query, so every op of a
+    # training step runs; no float64 array may appear anywhere
+    model = build_tiny_model(small_split.train, mode=mode, dropout_rate=0.2,
+                             top_k=2 if mode == "pool_query" else 1)
+    batch = small_split.train[:8]
+    out = model.forward(batch, train_mode=True)
+    loss = model.loss(out.logits, [s.label for s in batch], out.phi)
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+    grad_dtypes = set()
+
+    def recording(fn):
+        def bw(g):
+            grads = fn(g)
+            grad_dtypes.update(pg.dtype for pg in grads if pg is not None)
+            return grads
+        return bw
+
+    for node in nodes.values():
+        assert node.data.dtype == np.float32, node
+        if node._backward is not None:
+            node._backward = recording(node._backward)
+    assert len(nodes) > 30
+    nc.backward(loss)
+    assert grad_dtypes == {np.dtype(np.float32)}
+    state = AdamState()
+    adam_step(model.parameters(), state, lr=1e-3)
+    touched = [p for _, p in model.parameters() if p.grad is not None]
+    assert touched and all(p.grad.dtype == np.float32 for p in touched)
+    assert all(p.data.dtype == np.float32 for _, p in model.parameters())
+    assert all(m.dtype == v.dtype == np.float32 for m, v in state.moments.values())
+    trainer.save_checkpoint(model, state, tmp_path / "m.ckpt")
+    arrays, _ = ckpt.load_arrays(tmp_path / "m.ckpt")
+    assert any(name.startswith("adam.") for name in arrays)
+    assert {a.dtype.str for a in arrays.values()} == {"<f4"}
+
+
+def test_float64_checkpoint_round_trip_keeps_float64(small_split, tmp_path):
+    # a checkpoint written in float64 (as every run before float32 training
+    # was) loads, predicts and trains on in float64
+    model = fresh_model(small_split)
+    model.load_params({n: a.astype(np.float64) for n, a in model.snapshot_params().items()})
+    state = AdamState()
+    trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0),
+                  adam_state=state)
+    assert all(p.data.dtype == np.float64 for _, p in model.parameters())
+    path = tmp_path / "f8.ckpt"
+    trainer.save_checkpoint(model, state, path, epochs_done=1)
+    assert {a.dtype.str for a in ckpt.load_arrays(path)[0].values()} == {"<f8"}
+    loaded, loaded_state, _ = trainer.load_checkpoint(path, model.vocab)
+    assert all(p.data.dtype == np.float64 for _, p in loaded.parameters())
+    assert all(m.dtype == np.float64 for m, _ in loaded_state.moments.values())
+    for s in small_split.test:
+        logits = loaded.predict(s).logits
+        assert logits.dtype == np.float64
+        assert np.array_equal(logits, model.predict(s).logits)
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda arrays: arrays.update({"cls.b": arrays["cls.b"].astype(np.float64)}),
+     "<f4, <f8"),
+    (lambda arrays: arrays.update({k: a.astype(np.int64) for k, a in arrays.items()}),
+     "<i8"),
+], ids=["mixed", "integer"])
+def test_load_checkpoint_rejects_mixed_or_integer_dtypes(small_split, tmp_path, edit, found):
+    model = fresh_model(small_split)
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(model, AdamState(), path)
+    arrays, meta = ckpt.load_arrays(path)
+    edit(arrays)
+    ckpt.save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=f"one floating-point dtype, found {found}$"):
+        trainer.load_checkpoint(path, model.vocab)
 
 
 def test_checkpoint_restores_predictions(small_split, tmp_path):
