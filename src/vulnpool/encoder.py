@@ -7,7 +7,10 @@ training checkpoint. Prompt rows prepended by the pool receive no positional
 term, so `embed` indexes positions over code tokens only. A mini-batch is
 packed, not padded: its sequences sit back to back in one (rows, d) matrix,
 every row-wise layer runs once over all rows, and the fused attention op
-keeps each sequence to itself.
+keeps each sequence to itself. A caller that reads only the first rows of
+each sequence asks `encode` for them: the last layer then runs its queries
+and everything after attention on those rows alone, while every row stays a
+key and a value.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ class EncoderConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -128,19 +133,34 @@ class Encoder:
     def _linear(self, x: Tensor, w: str, b: str) -> Tensor:
         return nc.linear(x, self.params[w], self.params[b])
 
-    def encode(self, x: Tensor, segments, train_mode: bool = False, rng=None) -> Tensor:
+    def encode(self, x: Tensor, segments, keep: int | None = None, train_mode: bool = False,
+               rng=None) -> Tensor:
         """Run the pre-norm encoder stack over sequences packed back to back
         as `segments` (see `embed`); rows attend only within their own
-        sequence. Output shape equals input shape."""
+        sequence.
+
+        Without `keep` the output has the input's shape. With `keep`, the
+        output is the first `keep` rows of each sequence, sequence after
+        sequence: (len(segments) * keep, d). Every row is a key and a value
+        in every layer, but the last layer runs its queries, attention
+        output, FFN and final norm on the kept rows only; a kept row comes
+        out as in the full stack, up to rounding."""
         spans = self._segments(segments, x.shape[0])
+        if keep is not None and not 1 <= keep <= min(hi - lo for lo, hi in spans):
+            raise ValueError(f"keep {keep} must lie in [1, shortest sequence] for {spans}")
         drop = self.config.dropout_rate if train_mode else 0.0
+        q_spans = None  # the queries are the key rows, until the last layer with `keep`
         for layer in range(self.config.n_layers):
             p = f"enc.{layer}."
             normed = nc.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])
-            q = self._linear(normed, p + "attn.wq", p + "attn.bq")
             k = self._linear(normed, p + "attn.wk", p + "attn.bk")
             v = self._linear(normed, p + "attn.wv", p + "attn.bv")
-            merged = nc.attention(q, k, v, spans, self.config.n_heads)
+            if keep is not None and layer == self.config.n_layers - 1:
+                rows = np.concatenate([np.arange(lo, lo + keep) for lo, _ in spans])
+                x, normed = nc.gather_rows(x, rows), nc.gather_rows(normed, rows)
+                q_spans = [(i * keep, (i + 1) * keep) for i in range(len(spans))]
+            q = self._linear(normed, p + "attn.wq", p + "attn.bq")
+            merged = nc.attention(q, k, v, spans, self.config.n_heads, q_spans)
             attn_out = self._linear(merged, p + "attn.wo", p + "attn.bo")
             if drop > 0.0:
                 attn_out = nc.dropout(attn_out, drop, rng)

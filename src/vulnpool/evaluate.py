@@ -238,8 +238,9 @@ def export_embeddings(model, samples, path):
     return len(lines)
 
 
-def evaluate_model(model, samples):
-    """Predict every sample and return (report, predictions)."""
-    predictions = model.predict_many(samples)
+def evaluate_model(model, samples, seqs=None):
+    """Predict every sample and return (report, predictions). `seqs`, the
+    samples' ids from `model.tokenize`, saves tokenizing again."""
+    predictions = model.predict_many(samples, seqs)
     report = compute_metrics(predictions, [s.label for s in samples])
     return report, predictions

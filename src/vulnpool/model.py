@@ -5,11 +5,12 @@ sequences packed back to back, derives a query vector per sample, selects
 prompt matrices from the pool (restricted to the input language's indices
 during masked training), prepends them to each sequence, runs the encoder
 once over all rows, mean-pools each sample's outputs at its prompt positions
-and applies an affine classifier. The joint loss is cross-entropy minus a
-weighted query/key match term, averaged over the batch. A backbone-only mode
-bypasses the pool and classifies from the [CLS] output row. Prediction packs
-samples into forwards of at most PREDICT_ROWS rows, and every row comes out
-as it would for its sample alone.
+and applies an affine classifier. The encoder's last layer computes only the
+rows the classifier reads (see `forward`). The joint loss is cross-entropy
+minus a weighted query/key match term, averaged over the batch. A
+backbone-only mode bypasses the pool and classifies from the [CLS] output
+row. Prediction packs samples into forwards of at most PREDICT_ROWS rows, and
+every row comes out as it would for its sample alone.
 """
 
 from __future__ import annotations
@@ -203,17 +204,29 @@ class VulnPoolModel:
             row[list(self.assignment.indices_for(s.language))] = True
         return allowed
 
+    def _prompt_rows(self) -> int:
+        """Prompt rows the pool prepends to each sequence; 0 without a pool."""
+        if self.config.mode == "backbone_only":
+            return 0
+        return self.config.top_k * self.config.prompt_len
+
     def forward(self, samples, train_mode: bool = False, seqs=None) -> ForwardResult:
         """One packed graph over the mini-batch `samples`; see ForwardResult.
 
-        `seqs`, the samples' token ids from `tokenize`, saves tokenizing again."""
+        `seqs`, the samples' token ids from `tokenize`, saves tokenizing again.
+        The encoder returns the first `keep` rows of each sequence, one block
+        per sample: the prompt rows the classifier pools, or the [CLS] row
+        without a pool. Never fewer than 2, so that the last layer's products
+        have two rows or more for a sample alone too (see `predict_many`)."""
         samples = list(samples)
         x_e, segments = self.embed(self.tokenize(samples) if seqs is None else seqs)
         rng = self._dropout_rng
+        keep = max(2, self._prompt_rows())
+        blocks = range(0, keep * len(segments), keep)
 
         if self.config.mode == "backbone_only":
-            h = self.encoder.encode(x_e, segments, train_mode=train_mode, rng=rng)
-            logits = self._classify(nc.gather_rows(h, [lo for lo, _ in segments]))
+            h = self.encoder.encode(x_e, segments, keep, train_mode=train_mode, rng=rng)
+            logits = self._classify(nc.gather_rows(h, blocks))
             return ForwardResult(logits=logits)
 
         q = self.query_vector(x_e, segments)
@@ -222,8 +235,9 @@ class VulnPoolModel:
         else:
             selections = pl.select(q.data, self.keys, self.config.top_k)
         adapted = pl.adapt(selections, self.pool, x_e, segments)
-        h = self.encoder.encode(adapted.matrix, adapted.segments, train_mode=train_mode, rng=rng)
-        prompts = [(lo, lo + adapted.prompt_len) for lo, _ in adapted.segments]
+        h = self.encoder.encode(adapted.matrix, adapted.segments, keep, train_mode=train_mode,
+                                rng=rng)
+        prompts = [(lo, lo + adapted.prompt_len) for lo in blocks]
         logits = self._classify(nc.segment_mean(h, prompts))
         return ForwardResult(logits=logits, selections=selections, query=q, keys=self.keys)
 
@@ -240,21 +254,21 @@ class VulnPoolModel:
     def predict(self, sample: CodeSample) -> Prediction:
         return self.predict_many([sample])[0]
 
-    def predict_many(self, samples) -> list[Prediction]:
+    def predict_many(self, samples, seqs=None) -> list[Prediction]:
         """Predict `samples` in order, in packed forwards of at most
-        PREDICT_ROWS rows each.
+        PREDICT_ROWS rows each. `seqs`, the samples' ids from `tokenize`,
+        saves tokenizing again.
 
         Each prediction is bit-equal to predicting its sample alone. Attention,
         pooling and selection read one sample's rows at a time, row-wise ops
         are exact per row, and the products are row-invariant: the classifier
         uses `matmul_rowwise`, and an encoder product always has two rows or
-        more (the [CLS]/[EOS] frame), where BLAS computes a row alike in
-        products of any row count (tested in float32 and float64; a one-row
-        product is not)."""
+        more (the [CLS]/[EOS] frame, and at least two kept rows in the last
+        layer), where BLAS computes a row alike in products of any row count
+        (tested in float32 and float64; a one-row product is not)."""
         samples = list(samples)
-        seqs = self.tokenize(samples)
-        prompt = 0 if self.config.mode == "backbone_only" else (
-            self.config.top_k * self.config.prompt_len)
+        seqs = self.tokenize(samples) if seqs is None else seqs
+        prompt = self._prompt_rows()
         predictions: list[Prediction] = []
         lo = 0
         while lo < len(samples):

@@ -329,56 +329,68 @@ def segment_mean(a: Tensor, segments) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
+              q_segments=None) -> Tensor:
     """Multi-head scaled dot-product attention within row segments.
 
-    `q`, `k`, `v` are (n, d) with the heads side by side in the columns; a row
-    attends only to the rows of its own (start, stop) segment. The output is
-    (n, d), heads merged. Besides its inputs it keeps the softmax
-    probabilities, one (n_heads, S, S) array per segment, for backward. The
-    backward uses rowsum(dP * P) = rowsum(dO * O) (FlashAttention, Dao et al.
-    2022): one (n_heads, n) array in place of a per-segment (n_heads, S, S)
-    product. So backward also reads the output array, which no later op may
-    change in place.
+    `k` and `v` are (n, d) with the heads side by side in the columns, and
+    `segments` their (start, stop) row ranges. `q` is (m, d): the query rows
+    of segment i are `q_segments[i]` and attend only to the key rows
+    `segments[i]`. Without `q_segments` the queries are the key rows, m = n.
+    The output is (m, d), heads merged. Besides its inputs it keeps the
+    softmax probabilities, one (n_heads, queries, keys) array per segment,
+    for backward. The backward uses rowsum(dP * P) = rowsum(dO * O)
+    (FlashAttention, Dao et al. 2022): one (n_heads, m) array in place of a
+    per-segment (n_heads, queries, keys) product. So backward also reads the
+    output array, which no later op may change in place. It scatters dq into
+    the query rows and dk, dv into the key rows; rows outside every segment
+    get zero gradient.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape[1] != q.shape[1]
+            or v.shape != k.shape):
         raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
-    n, d = q.shape
+    m, d = q.shape
+    n = k.shape[0]
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible into {n_heads} heads")
     spans = _segments(segments, n, "attention")
+    q_spans = spans if q_segments is None else _segments(q_segments, m, "attention")
+    if len(q_spans) != len(spans):
+        raise ShapeError(f"attention: {len(q_spans)} query segments for {len(spans)} key segments")
+    pairs = list(zip(q_spans, spans))
     dh = d // n_heads
     inv_sqrt = 1.0 / math.sqrt(dh)
 
-    def heads(x):  # (n, d) -> (H, n, dh), a view: each head is a column block
-        return x.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    def heads(x):  # (rows, d) -> (H, rows, dh), a view: each head is a column block
+        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
 
     qh = heads(q.data * inv_sqrt)
     kh, vh = heads(k.data), heads(v.data)
-    out = np.zeros((n, d), dtype=q.data.dtype)  # C order: heads() must be a view
+    out = np.zeros((m, d), dtype=q.data.dtype)  # C order: heads() must be a view
     out_h = heads(out)
     probs = []
-    for lo, hi in spans:
-        p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
+    for (qlo, qhi), (lo, hi) in pairs:
+        p = qh[:, qlo:qhi] @ kh[:, lo:hi].transpose(0, 2, 1)
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p *= 1.0 / p.sum(axis=2, keepdims=True)
-        np.matmul(p, vh[:, lo:hi], out=out_h[:, lo:hi])
+        np.matmul(p, vh[:, lo:hi], out=out_h[:, qlo:qhi])
         probs.append(p)
 
     def bw(g):
         gh = heads(np.ascontiguousarray(g))
         rowsum = np.einsum("hnd,hnd->hn", gh, out_h)[:, :, None]  # rowsum(dP * P)
         qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)  # q unscaled: see below
-        dq, dk, dv = (np.zeros((n, d), dtype=out.dtype) for _ in range(3))
+        dq = np.zeros((m, d), dtype=out.dtype)
+        dk, dv = (np.zeros((n, d), dtype=out.dtype) for _ in range(2))
         dqh, dkh, dvh = heads(dq), heads(dk), heads(dv)
-        for (lo, hi), p in zip(spans, probs):
-            np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dvh[:, lo:hi])
-            ds = gh[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
-            ds -= rowsum[:, lo:hi]
+        for ((qlo, qhi), (lo, hi)), p in zip(pairs, probs):
+            np.matmul(p.transpose(0, 2, 1), gh[:, qlo:qhi], out=dvh[:, lo:hi])
+            ds = gh[:, qlo:qhi] @ vh[:, lo:hi].transpose(0, 2, 1)
+            ds -= rowsum[:, qlo:qhi]
             ds *= p
-            np.matmul(ds, kh[:, lo:hi], out=dqh[:, lo:hi])
-            np.matmul(ds.transpose(0, 2, 1), qh[:, lo:hi], out=dkh[:, lo:hi])
+            np.matmul(ds, kh[:, lo:hi], out=dqh[:, qlo:qhi])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, qlo:qhi], out=dkh[:, lo:hi])
         dq *= inv_sqrt  # the 1/sqrt(dh) of the scores, applied once
         dk *= inv_sqrt
         return dq, dk, dv
@@ -544,8 +556,11 @@ def grad_check(f, x: Tensor, eps: float = 1e-5, tol: float = 1e-6,
     in float roundoff at small steps and in truncation at large ones.
     Coordinates failing at `eps` are re-probed at each step in `retry_eps`
     and keep their best agreement; a genuinely wrong gradient fails at all
-    of them.
+    of them. `x` must be float64: the default steps are below what float32
+    resolves.
     """
+    if x.data.dtype != np.float64:
+        raise ValueError(f"grad_check: x must be float64, got {x.data.dtype}")
     x.grad = None
     loss = f(x)
     backward(loss)

@@ -154,13 +154,15 @@ def _epoch_order(n: int, seed: int, epoch: int) -> list[int]:
     return order
 
 
-def _train_step(model: VulnPoolModel, batch, collect: Counter, epoch: int, index: int) -> float:
-    """Forward, loss and backward of one mini-batch; returns the loss.
+def _train_step(model: VulnPoolModel, batch, seqs, collect: Counter, epoch: int,
+                index: int) -> float:
+    """Forward, loss and backward of one mini-batch and its token ids `seqs`;
+    returns the loss.
 
     The batch's autodiff graph is referenced only from this frame, so it is
     freed when backward returns, before the next forward or validation
     builds another. A non-finite loss raises before backward."""
-    out = model.forward(batch, train_mode=True)
+    out = model.forward(batch, train_mode=True, seqs=seqs)
     if out.selections is not None:
         for s, selection in zip(batch, out.selections):
             collect[(s.language.tag, selection.i_star)] += 1
@@ -189,7 +191,7 @@ def train(
     """Run the mini-batch loop and return (best model, history).
 
     The best model is the validation-F1 argmax over epoch-end checkpoints,
-    ties resolving to the earlier epoch.
+    ties resolving to the earlier epoch. Each split is tokenized once.
     """
     if not split.train:
         raise ValueError("training split is empty")
@@ -202,6 +204,8 @@ def train(
         if start_epoch == 0 and os.path.exists(history_path):
             os.remove(history_path)  # fresh run; append only makes sense on resume
 
+    train_seqs = model.tokenize(split.train)
+    val_seqs = model.tokenize(split.val)
     best_f1 = -1.0
     best_epoch = None
     best_params = None
@@ -212,9 +216,12 @@ def train(
         touched: set[str] = set()
         losses = []
         for lo in range(0, len(order), config.batch_size):
-            batch = [split.train[i] for i in order[lo : lo + config.batch_size]]
+            picked = order[lo : lo + config.batch_size]
+            batch = [split.train[i] for i in picked]
+            seqs = [train_seqs[i] for i in picked]
             try:
-                value = _train_step(model, batch, selections, epoch, lo // config.batch_size)
+                value = _train_step(model, batch, seqs, selections, epoch,
+                                    lo // config.batch_size)
             except TrainingDivergedError:
                 if run_dir is not None:
                     save_checkpoint(model, state, os.path.join(run_dir, "diverged.ckpt"),
@@ -231,7 +238,8 @@ def train(
             model.zero_grad()
             pl.reinit_zero_keys(model.keys, reinit_rng)
 
-        val_report, _ = ev.evaluate_model(model, split.val) if split.val else (None, None)
+        val_report, _ = (ev.evaluate_model(model, split.val, val_seqs) if split.val
+                         else (None, None))
         record = EpochRecord(
             epoch=epoch,
             train_loss=sum(losses) / len(losses),

@@ -119,3 +119,52 @@ def test_init_random_histogram():
     assert draws.size == 100_000
     assert abs(draws.mean()) < 0.002
     assert abs(draws.std() - 0.02) < 0.002
+
+
+def test_config_rejects_no_layers():
+    with pytest.raises(ValueError, match="n_layers"):
+        tiny_config(n_layers=0)
+
+
+@pytest.mark.parametrize("keep", [1, 2, 5])
+def test_kept_rows_equal_the_full_stack_in_value_and_gradient(keep):
+    # float64, two layers, segments of unequal length: the kept-row encoder
+    # is the full one with the unread rows dropped
+    enc = Encoder.init_random(tiny_config(n_layers=2, n_heads=2), vocab_size=16, seed=3)
+    for p in enc.params.values():  # non-trivial norms and biases
+        p.data = p.data + np.random.default_rng(p.data.size).normal(0, 0.1, p.data.shape)
+    segments = [(0, 5), (5, 14), (14, 20), (20, 31)]
+    rows = np.concatenate([np.arange(lo, lo + keep) for lo, _ in segments])
+    x_data = np.random.default_rng(8).normal(size=(31, 8))
+    weights = np.random.default_rng(9).normal(size=(len(rows), 8))
+
+    def run(kept: bool):
+        enc_x = nc.parameter(x_data.copy())
+        out = enc.encode(enc_x, segments, keep) if kept else nc.gather_rows(
+            enc.encode(enc_x, segments), rows)
+        loss = nc.sum_all(nc.cross_entropy_logits(nc.add(out, nc.tensor(weights)),
+                                                  np.arange(len(rows)) % 8))
+        for p in enc.params.values():
+            p.grad = None
+        nc.backward(loss)
+        return out.data, {n: p.grad for n, p in enc.params.items()}, enc_x.grad
+
+    full_out, full_grads, full_dx = run(kept=False)
+    kept_out, kept_grads, kept_dx = run(kept=True)
+    assert kept_out.shape == (len(segments) * keep, 8)
+    assert np.abs(kept_out - full_out).max() < 1e-12
+    assert np.abs(kept_dx - full_dx).max() < 1e-12
+    for name, g in full_grads.items():
+        if name.startswith("embed."):  # encode never reads the embedding tables
+            assert g is None and kept_grads[name] is None
+        else:
+            assert np.abs(kept_grads[name] - g).max() < 1e-12, name
+
+
+def test_kept_rows_bounded_by_shortest_sequence():
+    enc = Encoder.init_random(tiny_config(), vocab_size=16, seed=0)
+    x = nc.tensor(np.random.default_rng(0).normal(size=(7, 8)))
+    assert enc.encode(x, [(0, 3), (3, 7)], 3).shape == (6, 8)
+    for keep in (0, 4):
+        with pytest.raises(ValueError, match="keep"):
+            enc.encode(x, [(0, 3), (3, 7)], keep)

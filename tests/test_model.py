@@ -316,3 +316,23 @@ def test_packed_batch_matches_per_sample_golden(case):
         assert (p.grad is None) == (expected is None), name
         if expected is not None:
             assert np.abs(p.grad - expected).max() < 1e-10, name
+
+
+@pytest.mark.parametrize("mode, prompt_len", [("pool_query", 1), ("pool_masked", 3),
+                                              ("backbone_only", 3)])
+def test_forward_reads_the_rows_of_the_full_encoder(small_corpus, mode, prompt_len):
+    # the classifier's rows from the kept-row encoder equal those of the full
+    # stack, in float64, also when fewer prompt rows than the two kept ones
+    model = build_tiny_model(small_corpus, mode=mode, prompt_len=prompt_len, n_layers=2)
+    model.load_params({n: a.astype(np.float64) for n, a in model.snapshot_params().items()})
+    out = model.forward(small_corpus)
+    x_e, segments = model.embed(model.tokenize(small_corpus))
+    if mode == "backbone_only":
+        h = model.encoder.encode(x_e, segments)
+        pooled = nc.gather_rows(h, [lo for lo, _ in segments])
+    else:
+        adapted = pl.adapt(out.selections, model.pool, x_e, segments)
+        h = model.encoder.encode(adapted.matrix, adapted.segments)
+        pooled = nc.segment_mean(h, [(lo, lo + prompt_len) for lo, _ in adapted.segments])
+    expected = model._classify(pooled).data
+    assert np.abs(out.logits.data - expected).max() < 1e-12

@@ -77,6 +77,23 @@ def test_attention_keeps_segments_apart():
     assert np.allclose(packed[0], v[0], atol=1e-14)
 
 
+def test_attention_query_spans_give_the_rows_of_full_attention():
+    # queries that are a subset of each segment's rows attend as in full attention
+    r = rng(6)
+    q, k, v = (r.normal(size=(9, 4)) for _ in range(3))
+    segments = [(0, 2), (2, 5), (5, 9)]
+    full = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), segments, 2).data
+    picked = [0, 1, 2, 5, 6, 7]
+    q_segments = [(0, 2), (2, 3), (3, 6)]
+    part = nc.attention(nc.tensor(q[picked]), nc.tensor(k), nc.tensor(v), segments, 2,
+                        q_segments).data
+    assert part.shape == (6, 4)
+    assert np.abs(part - full[picked]).max() < 1e-14
+    with pytest.raises(nc.ShapeError, match="2 query segments for 3 key segments"):
+        nc.attention(nc.tensor(q[:2]), nc.tensor(k), nc.tensor(v), segments, 2,
+                     [(0, 1), (1, 2)])
+
+
 def attention_backward_reference(q, k, v, g, n_heads):
     """Attention's backward over one segment in its earlier form: the
     softmax backward as one (H, S, S) product and row reduction, with the
@@ -294,7 +311,8 @@ def test_grad_check_cross_entropy_r2():
      "concat_rows", "concat_rows_vector", "gather_rows",
      "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b",
      "segment_mean", "cross_entropy_rows",
-     "attention_q", "attention_k", "attention_v"],
+     "attention_q", "attention_k", "attention_v",
+     "attention_short_q", "attention_short_q_k", "attention_short_q_v"],
 )
 def test_grad_check_each_op(name):
     r = rng(sum(ord(c) for c in name))  # stable across processes
@@ -314,6 +332,14 @@ def test_grad_check_each_op(name):
     def attend(x, slot):
         args = [x if i == slot else t for i, t in enumerate(qkv)]
         return scalarize(nc.attention(*args, segments, 2))
+
+    # query spans shorter than their key spans: 1, 2 and 1 of 1, 3 and 2 rows
+    q_short = nc.tensor(r.normal(size=(4, 4)))
+    q_segments = [(0, 1), (1, 3), (3, 4)]
+
+    def attend_short(x, slot):
+        args = [x if i == slot else t for i, t in enumerate([q_short] + qkv[1:])]
+        return scalarize(nc.attention(*args, segments, 2, q_segments))
 
     cases = {
         "linear_x": ((4, 5), lambda x: scalarize(nc.linear(x, mat53, vec3))),
@@ -344,9 +370,19 @@ def test_grad_check_each_op(name):
         "attention_q": ((6, 4), lambda x: attend(x, 0)),
         "attention_k": ((6, 4), lambda x: attend(x, 1)),
         "attention_v": ((6, 4), lambda x: attend(x, 2)),
+        "attention_short_q": ((4, 4), lambda x: attend_short(x, 0)),
+        "attention_short_q_k": ((6, 4), lambda x: attend_short(x, 1)),
+        "attention_short_q_v": ((6, 4), lambda x: attend_short(x, 2)),
     }
     shape, f = cases[name]
     _check(f, nc.parameter(r.normal(size=shape)))
+
+
+def test_grad_check_rejects_what_it_cannot_resolve():
+    f = lambda t: nc.sum_all(t)  # noqa: E731
+    for dtype in (np.float32, np.float16):
+        with pytest.raises(ValueError, match=f"must be float64, got {np.dtype(dtype).name}"):
+            nc.grad_check(f, nc.parameter(np.ones(3, dtype=dtype)))
 
 
 def test_grad_check_three_layer_composition():

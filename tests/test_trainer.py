@@ -343,3 +343,29 @@ def test_checkpoint_restores_predictions(small_split, tmp_path):
     loaded, _, _ = trainer.load_checkpoint(path, model.vocab)
     for s in small_split.test:
         assert np.array_equal(model.predict(s).logits, loaded.predict(s).logits)
+
+
+def test_each_split_is_tokenized_once_per_run(small_split, monkeypatch, tmp_path):
+    config = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=0)
+    encode, forward, evaluate = tok.encode, VulnPoolModel.forward, ev.evaluate_model
+    calls = []
+    monkeypatch.setattr(tok, "encode", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
+    _, once = trainer.train(fresh_model(small_split), small_split, config,
+                            run_dir=tmp_path / "once")
+    per_split = len(small_split.train) + len(small_split.val)
+    assert len(calls) == per_split
+
+    # the same run tokenizing every batch and every validation pass anew
+    monkeypatch.setattr(VulnPoolModel, "forward",
+                        lambda self, samples, train_mode=False, seqs=None:
+                        forward(self, samples, train_mode))
+    monkeypatch.setattr(ev, "evaluate_model", lambda model, samples, seqs=None:
+                        evaluate(model, samples))
+    _, each = trainer.train(fresh_model(small_split), small_split, config,
+                            run_dir=tmp_path / "each")
+    assert len(calls) >= (2 + config.epochs) * per_split
+    assert once == each
+    names = sorted(p.name for p in (tmp_path / "once").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+    for name in names:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()

@@ -10,9 +10,13 @@ this script), alternating which side runs first. Per workload and end-to-end
 metric, the file gives each side's median and quartiles over the pairs, the
 ratio of the change's median to the parent's, the pairs in which the change
 read better (ties count for neither) and the failed operations per side; the
-raw value of every run is kept under `runs`. The file is rewritten after
-every pair, so a stopped sweep keeps what it measured. A markdown table of
-the result goes to standard output.
+raw value of every run is kept under `runs`. Before each run a fixed
+calibration loop (pure Python plus one small numpy product) is timed and kept
+beside the run as `calibration_s`, with its quartiles per side in the
+summary: it measures the host's speed at that moment, so runs in different
+files, or on different hosts, can be set side by side. The file is rewritten
+after every pair, so a stopped sweep keeps what it measured. A markdown table
+of the result goes to standard output.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -47,6 +53,19 @@ def seed_range(text: str) -> tuple[str, list[int]]:
 def tier1(text: str) -> dict:
     passed, _, seconds = text.partition(":")
     return {"passed": int(passed), "seconds": float(seconds)}
+
+
+def calibrate() -> float:
+    """Seconds of a fixed CPU loop: interpreter work (the benchmark's
+    per-op overhead) plus one small float32 product (its kernels)."""
+    a = np.linspace(-1.0, 1.0, 64 * 64, dtype=np.float32).reshape(64, 64)
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(400_000):
+        total += i % 7
+    for _ in range(2000):
+        a @ a
+    return time.perf_counter() - t0
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -104,6 +123,9 @@ def table(workloads: dict) -> str:
             rows.append(f"| {workload} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                         f" | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {m['ratio']}"
                         f" | {m['change_better_in']}/{m['pairs']} |")
+        p, c = w["calibration_s"]["parent"], w["calibration_s"]["change"]
+        rows.append(f"| {workload} | calibration_s | {p['median']:.4g} [{p['q1']:.4g}, "
+                    f"{p['q3']:.4g}] | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | | |")
         failed = w["failed_operations"]
         rows.append(f"| {workload} | failed operations | {failed['parent']} | {failed['change']}"
                     " | | |")
@@ -166,8 +188,10 @@ def main(argv=None) -> int:
             pair_index += 1
             pair = {"seed": seed, "first": order[0]}
             for side in order:
+                calibration = calibrate()
                 t0 = time.perf_counter()
                 pair[side] = run_once(checkouts[side], workload, seed)
+                pair[side]["calibration_s"] = sig(calibration)
                 print(f"{workload} seed {seed} {side}: {time.perf_counter() - t0:.0f} s, "
                       f"{pair[side].get('error') or pair[side]['metrics']}",
                       file=sys.stderr, flush=True)
@@ -177,6 +201,8 @@ def main(argv=None) -> int:
                 "failed_operations": {side: sum(r[side]["failed"] for r in runs)
                                       for side in SIDES},
                 "metrics": summarise(runs, declared),
+                "calibration_s": {side: quartiles([r[side]["calibration_s"] for r in runs])
+                                  for side in SIDES},
                 "runs": runs,
             }
             tmp = out_path.with_suffix(".tmp")
