@@ -100,7 +100,7 @@ class Encoder:
         return cls(config, vocab_size, params)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(name, self.params[name]) for name in _param_shapes(self.config, self.vocab_size)]
+        return list(self.params.items())
 
     # ------------------------------------------------------------------
     # forward
@@ -125,7 +125,8 @@ class Encoder:
         (start, stop); positions restart at 0 in every sequence.
         """
         spans = self._segments(segments, len(ids))
-        positions = np.concatenate([np.arange(hi - lo) for lo, hi in spans])
+        positions = np.arange(len(ids)) - np.array([lo for lo, _ in spans]).repeat(
+            [hi - lo for lo, hi in spans])
         tok_rows = nc.gather_rows(self.params["embed.tok"], ids)  # range-checks the ids
         pos_rows = nc.gather_rows(self.params["embed.pos"], positions)
         return nc.add(tok_rows, pos_rows)
@@ -156,8 +157,9 @@ class Encoder:
             k = self._linear(normed, p + "attn.wk", p + "attn.bk")
             v = self._linear(normed, p + "attn.wv", p + "attn.bv")
             if keep is not None and layer == self.config.n_layers - 1:
-                rows = np.concatenate([np.arange(lo, lo + keep) for lo, _ in spans])
-                x, normed = nc.gather_rows(x, rows), nc.gather_rows(normed, rows)
+                rows = (np.array([lo for lo, _ in spans])[:, None] + np.arange(keep)).ravel()
+                x = nc.gather_rows(x, rows, unique=True)
+                normed = nc.gather_rows(normed, rows, unique=True)
                 q_spans = [(i * keep, (i + 1) * keep) for i in range(len(spans))]
             q = self._linear(normed, p + "attn.wq", p + "attn.bq")
             merged = nc.attention(q, k, v, spans, self.config.n_heads, q_spans)

@@ -125,10 +125,15 @@ class VulnPoolModel:
         self.keys = pl.init_random(config.pool_size, (enc_config.d_model,), rng)
         self.classifier_w = nc.parameter(rng.normal(0.0, 0.02, size=(enc_config.d_model, 2)))
         self.classifier_b = nc.parameter(np.zeros(2))
-        for _, p in self.parameters():  # drawn in float64, computed in float32
+        for p in self.pool + self.keys:  # drawn in float64, computed in float32
             p.data = p.data.astype(np.float32)
+        _flatten(self._dense(), np.float32)
         if config.pool_size >= len(pl.LANGUAGES) * config.matrices_per_language:
             self.assignment = pl.LanguageAssignment.default(config.matrices_per_language)
+            # row l masks the pool indices assigned to pl.LANGUAGES[l]
+            self._language_masks = np.zeros((len(pl.LANGUAGES), config.pool_size), dtype=bool)
+            for row, language in zip(self._language_masks, pl.LANGUAGES):
+                row[list(self.assignment.indices_for(language))] = True
         else:
             self.assignment = None
         self._dropout_rng = np.random.default_rng([seed, 2])
@@ -137,23 +142,32 @@ class VulnPoolModel:
     # parameter access
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named = list(self.encoder.parameters())
+        """Every parameter by name. The dense group, the encoder's and the
+        classifier's, are views in this order of one flat buffer, which
+        `trainer.adam_step` updates as one array. Each pool matrix and key is
+        an array of its own: one that no sample selected gets no gradient and
+        no update."""
+        named = self.encoder.parameters()
         named += [(f"pool.P.{i}", m) for i, m in enumerate(self.pool)]
         named += [(f"pool.k.{i}", k) for i, k in enumerate(self.keys)]
         named += [("cls.w", self.classifier_w), ("cls.b", self.classifier_b)]
         return named
 
-    def zero_grad(self):
-        for _, p in self.parameters():
-            p.grad = None
+    def _dense(self) -> list[tuple[str, Tensor]]:
+        """The dense group by name, in the order of its buffer."""
+        return self.encoder.parameters() + [("cls.w", self.classifier_w),
+                                            ("cls.b", self.classifier_b)]
 
     def snapshot_params(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters()}
 
     def load_params(self, arrays: dict[str, np.ndarray]):
         """Take a copy of each stored array, in its own dtype: the model then
-        computes in that dtype (a float64 checkpoint predicts in float64)."""
-        for name, p in self.parameters():
+        computes in that dtype (a float64 checkpoint predicts in float64).
+        The dense group's arrays, copied into one new flat buffer, must share
+        one dtype."""
+        named = self.parameters()
+        for name, p in named:
             if name not in arrays:
                 raise KeyError(f"missing parameter {name!r}")
             if arrays[name].shape != p.data.shape:
@@ -161,8 +175,15 @@ class VulnPoolModel:
                     f"parameter {name!r}: expected shape {p.data.shape}, "
                     f"got {arrays[name].shape}"
                 )
+        dense = self._dense()
+        dtypes = {arrays[name].dtype for name, _ in dense}
+        if len(dtypes) != 1:
+            raise ValueError(f"encoder and classifier arrays must share one dtype, found "
+                             f"{', '.join(sorted(d.str for d in dtypes))}")
+        for name, p in named:
             p.data = arrays[name].copy()
             p.grad = None
+        _flatten(dense, dtypes.pop())
 
     def copy(self) -> "VulnPoolModel":
         clone = VulnPoolModel(self.config, self.encoder.config, self.vocab)
@@ -190,7 +211,7 @@ class VulnPoolModel:
         """The (B, d) queries of the packed sequences `segments` of `x_e`: each
         one's [CLS]-position row, or the mean of its rows."""
         if self.config.query_from == "embed_cls":
-            return nc.gather_rows(x_e, [lo for lo, _ in segments])
+            return nc.gather_rows(x_e, [lo for lo, _ in segments], unique=True)
         return nc.segment_mean(x_e, segments)
 
     def _classify(self, pooled: Tensor) -> Tensor:
@@ -199,10 +220,7 @@ class VulnPoolModel:
 
     def _allowed(self, samples) -> np.ndarray:
         """(B, N) mask of each sample's language-assigned pool indices."""
-        allowed = np.zeros((len(samples), self.config.pool_size), dtype=bool)
-        for row, s in zip(allowed, samples):
-            row[list(self.assignment.indices_for(s.language))] = True
-        return allowed
+        return self._language_masks[[pl.LANGUAGES.index(s.language) for s in samples]]
 
     def _prompt_rows(self) -> int:
         """Prompt rows the pool prepends to each sequence; 0 without a pool."""
@@ -226,7 +244,7 @@ class VulnPoolModel:
 
         if self.config.mode == "backbone_only":
             h = self.encoder.encode(x_e, segments, keep, train_mode=train_mode, rng=rng)
-            logits = self._classify(nc.gather_rows(h, blocks))
+            logits = self._classify(nc.gather_rows(h, blocks, unique=True))
             return ForwardResult(logits=logits)
 
         q = self.query_vector(x_e, segments)
@@ -281,6 +299,18 @@ class VulnPoolModel:
             predictions += _predictions(out)
             lo = hi
         return predictions
+
+
+def _flatten(named, dtype):
+    """Copy the arrays of the (name, tensor) pairs `named` into one new 1-D
+    `dtype` buffer, in order, and make each tensor's array its view of it."""
+    flat = np.empty(sum(t.data.size for _, t in named), dtype=dtype)
+    offset = 0
+    for _, t in named:
+        view = flat[offset:offset + t.data.size].reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+        offset += view.size
 
 
 def _predictions(out: ForwardResult) -> list[Prediction]:

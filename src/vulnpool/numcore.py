@@ -314,19 +314,65 @@ def _segments(segments, rows: int, op: str) -> list[tuple[int, int]]:
 
 
 def segment_mean(a: Tensor, segments) -> Tensor:
-    """Mean over the rows of each (start, stop) range: (n, ...) -> (len(segments), ...)."""
+    """Mean over the rows of each (start, stop) range: (n, ...) -> (len(segments), ...).
+
+    Each mean is bit-equal to `a[lo:hi].sum(axis=0) / (hi - lo)`, which
+    adds rows of two or more elements one after another. All ranges are
+    summed in one reduction: back-to-back ranges of one length as one
+    reshaped block, others copied into a (ranges, longest, ...) block padded
+    with -0.0, the one value whose addition changes no sum (`ufunc.reduceat`
+    sums in another order). One range is summed as its slice. numpy sums a
+    range of one-element rows pairwise, so for ranges of unequal length over
+    such rows the padded block can differ from the slice in the last bit.
+    """
     if a.data.ndim < 1:
         raise ShapeError(f"segment_mean: expected at least 1-D input, got {a.shape}")
     spans = _segments(segments, a.shape[0], "segment_mean")
-    data = np.stack([a.data[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in spans])
+    x = a.data
+    if len(spans) == 1:
+        ((lo, hi),) = spans
+        data = (x[lo:hi].sum(axis=0) / (hi - lo))[None]
 
-    def bw(g):
-        out = np.zeros_like(a.data)
-        for (lo, hi), gb in zip(spans, g):
-            out[lo:hi] = gb / (hi - lo)
+        def bw_one(g):
+            out = np.zeros_like(x)
+            out[lo:hi] = g[0] / (hi - lo)
+            return (out,)
+
+        return _make(data, (a,), bw_one)
+
+    lo, hi = np.array(spans, dtype=np.int64).T
+    lens = hi - lo
+    count = len(spans)
+    longest = int(lens.max())
+    tail = x.shape[1:]
+    div = lens.astype(x.dtype).reshape((count,) + (1,) * len(tail))
+    if longest * count == hi[-1] - lo[0] and (lens == longest).all():  # back to back
+        block = slice(int(lo[0]), int(hi[-1]))
+        data = x[block].reshape((count, longest) + tail).sum(axis=1) / div
+
+        def bw(g):
+            out = np.zeros_like(x)
+            out[block].reshape((count, longest) + tail)[...] = (g / div)[:, None]
+            return (out,)
+
+        return _make(data, (a,), bw)
+
+    # each range's rows, then the row of -0.0 appended to x up to the longest
+    picked = lo[:, None] + np.arange(longest)
+    picked = np.where(picked < hi[:, None], picked, x.shape[0])
+    source = np.concatenate([x, np.full((1,) + tail, -0.0, dtype=x.dtype)])
+    data = source.take(picked, axis=0).sum(axis=1) / div
+    tiled = lo[0] == 0 and hi[-1] == x.shape[0] and lens.sum() == x.shape[0]
+
+    def bw_ragged(g):
+        spread = (g / div).repeat(lens, axis=0)
+        if tiled:
+            return (spread,)
+        out = np.zeros_like(x)
+        out[picked[picked < x.shape[0]]] = spread
         return (out,)
 
-    return _make(data, (a,), bw)
+    return _make(data, (a,), bw_ragged)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
@@ -398,8 +444,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
     return _make(out, (q, k, v), bw)
 
 
-def gather_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: rows of `table` at integer `ids` (scatter-add on backward)."""
+def gather_rows(table: Tensor, ids, unique: bool = False) -> Tensor:
+    """Embedding lookup: rows of `table` at integer `ids`.
+
+    Backward scatter-adds each row's gradient into the table. `unique` is
+    the caller's promise that no id repeats (rows picked by construction):
+    backward then assigns the rows, the same values without the sums.
+    """
     idx = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"gather_rows: expected 2-D table, got {table.shape}")
@@ -409,6 +460,10 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         )
 
     def bw(g):
+        if unique:
+            out = np.zeros_like(table.data)
+            out[idx] = g
+            return (out,)
         # scatter-add as one flat bincount: the same sums, in the same order,
         # as np.add.at, several times faster
         width = table.shape[1]
@@ -416,7 +471,61 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         summed = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
         return (summed.astype(table.data.dtype, copy=False).reshape(table.shape),)
 
-    return _make(table.data[idx], (table,), bw)
+    return _make(table.data.take(idx, axis=0), (table,), bw)
+
+
+def prepend_rows(x: Tensor, segments, blocks, picks) -> Tensor:
+    """Each sequence of `x` with picked (r, d) `blocks` placed in front of it.
+
+    `segments` are the (start, stop) rows of the sequences, which must tile
+    `x` (n, d); `picks` is a (B, K) integer array, one row per sequence.
+    Sequence b comes out as blocks[picks[b, 0]], ..., blocks[picks[b, K-1]]
+    and then its own rows, at rows b*K*r + start to (b+1)*K*r + stop of the
+    (B*K*r + n, d) output. Only the picked blocks are inputs of the result,
+    so a block no sequence picks gets no gradient at all, not a zero one.
+    Backward hands `x` its rows of the gradient and sums the rows placed
+    from each block into it, in float64 and in sequence order, as the
+    scatter-add of `gather_rows` does; the sums span the blocks, not `x`.
+    """
+    spans = _segments(segments, x.shape[0], "prepend_rows")
+    if spans[0][0] != 0 or spans[-1][1] != x.shape[0] or any(
+            a[1] != b[0] for a, b in zip(spans, spans[1:])):
+        raise ShapeError(f"prepend_rows: segments {spans} do not tile {x.shape[0]} rows")
+    picks = np.asarray(picks, dtype=np.int64)
+    if picks.ndim != 2 or picks.shape[0] != len(spans) or not picks.size:
+        raise ShapeError(f"prepend_rows: picks of shape {picks.shape} for {len(spans)} segments")
+    flat = picks.ravel().tolist()
+    used = sorted(set(flat))
+    if used[0] < 0 or used[-1] >= len(blocks):
+        raise IndexError(f"prepend_rows: pick out of range [0, {len(blocks)}) in {picks.tolist()}")
+    r, d = blocks[0].shape
+    if x.data.ndim != 2 or x.shape[1] != d or any(b.shape != (r, d) for b in blocks):
+        raise ShapeError(f"prepend_rows: blocks of shape {[b.shape for b in blocks]} for "
+                         f"rows {x.shape}")
+    # the rows of [blocks..., x] the output copies (index arithmetic on short
+    # Python lists: on one sequence, numpy's per-call cost would dominate)
+    n, count, per = x.shape[0], len(spans), picks.shape[1] * r
+    lens = [hi - lo for lo, hi in spans]
+    first = len(blocks) * r  # the row of x[0]
+    rows = np.arange(count * per + n)  # x's rows, shifted by the block rows before them
+    rows += np.array([first - per * b for b in range(1, count + 1)]).repeat(
+        [per + m for m in lens])
+    block_out = (np.array([b * per + lo for b, (lo, _) in enumerate(spans)])[:, None]
+                 + np.arange(per)).ravel()
+    block_in = (np.array([i * r for i in flat])[:, None] + np.arange(r)).ravel()
+    rows[block_out] = block_in
+    out = np.concatenate([b.data for b in blocks] + [x.data]).take(rows, axis=0)
+
+    def bw(g):
+        token_out = np.arange(n)
+        token_out += np.array([per * b for b in range(1, count + 1)]).repeat(lens)
+        cells = (block_in[:, None] * d + np.arange(d)).ravel()
+        summed = np.bincount(cells, weights=g.take(block_out, axis=0).ravel(),
+                             minlength=len(blocks) * r * d)
+        summed = summed.astype(out.dtype, copy=False).reshape(len(blocks), r, d)
+        return (g.take(token_out, axis=0), *summed[used])
+
+    return _make(out, (x, *(blocks[i] for i in used)), bw)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -30,13 +30,13 @@ def init_random(size: int, shape: tuple[int, ...], rng) -> list[Tensor]:
 
 
 def reinit_zero_keys(keys: list[Tensor], rng, scale: float = 0.02) -> list[int]:
-    """Re-draw any key whose norm underflowed to zero; returns indices."""
-    redone = []
-    for i, k in enumerate(keys):
-        if float(np.linalg.norm(k.data)) < 1e-12:
-            k.data[...] = rng.normal(0.0, scale, size=k.data.shape)
-            k.grad = None
-            redone.append(i)
+    """Re-draw any key whose norm underflowed to zero, which `select` would
+    reject; returns their indices. The norms are one einsum, as in `select`."""
+    kd = np.stack([k.data for k in keys])
+    redone = np.flatnonzero(np.sqrt(np.einsum("nd,nd->n", kd, kd)) < 1e-12).tolist()
+    for i in redone:
+        keys[i].data[...] = rng.normal(0.0, scale, size=keys[i].data.shape)
+        keys[i].grad = None
     return redone
 
 
@@ -107,9 +107,9 @@ def select(q: np.ndarray, keys: list[Tensor], k: int = 1, allowed: np.ndarray | 
         if not allowed.any(axis=1).all():
             raise PoolError("allowed index set is empty")
         ranked = np.where(allowed, scores, -np.inf)
-    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k]
-    return [Selection(tuple(row.tolist()), tuple(s[row].tolist()))
-            for row, s in zip(order, scores)]
+    order = np.argsort(-ranked, axis=1, kind="stable")[:, :k].tolist()
+    return [Selection(tuple(row), tuple([s[i] for i in row]))
+            for row, s in zip(order, scores.tolist())]
 
 
 def adapt(selections: list[Selection], pool: list[Tensor], x_e: Tensor,
@@ -117,10 +117,9 @@ def adapt(selections: list[Selection], pool: list[Tensor], x_e: Tensor,
     """Stack each sequence's selected prompt matrices above its token embeddings.
 
     `x_e` holds the sequences back to back, one Selection per (start, stop)
-    in `segments`. The result packs the sequences in the same order, built
-    as one row gather over the selected matrices and `x_e`. Gradients flow
-    only into the selected matrices; the embedding rows are carried through
-    unchanged.
+    in `segments`. The result packs the sequences in the same order, placed
+    by one `numcore.prepend_rows`. Gradients flow only into the selected
+    matrices; the embedding rows are carried through unchanged.
     """
     spans = list(segments)
     if len(spans) != len(selections):
@@ -128,29 +127,18 @@ def adapt(selections: list[Selection], pool: list[Tensor], x_e: Tensor,
     lp, width = pool[0].shape
     if x_e.shape[1] != width:
         raise PoolError(f"embedding width {x_e.shape[1]} does not match pool width {width}")
-    for selection in selections:
-        for i in selection.indices:
-            if not 0 <= i < len(pool):
-                raise PoolError(f"selected index {i} out of range [0, {len(pool)})")
     if len({len(s.indices) for s in selections}) != 1:
         raise PoolError("every sequence of a batch must select the same number of matrices")
-
-    used = sorted({i for s in selections for i in s.indices})
-    first_row = {i: j * lp for j, i in enumerate(used)}
-    tokens_at = len(used) * lp
-    rows: list[int] = []
-    packed = []
-    for selection, (lo, hi) in zip(selections, spans):
-        start = len(rows)
-        for i in selection.indices:
-            rows.extend(range(first_row[i], first_row[i] + lp))
-        rows.extend(range(tokens_at + lo, tokens_at + hi))
-        packed.append((start, len(rows)))
-    table = nc.concat_rows([pool[i] for i in used] + [x_e])
+    picks = [s.indices for s in selections]
+    outside = [i for row in picks for i in row if not 0 <= i < len(pool)]
+    if outside:
+        raise PoolError(f"selected index {outside[0]} out of range [0, {len(pool)})")
+    prompt_len = len(picks[0]) * lp
     return AdaptedEmbedding(
-        matrix=nc.gather_rows(table, rows),
-        segments=packed,
-        prompt_len=len(selections[0].indices) * lp,
+        matrix=nc.prepend_rows(x_e, spans, pool, picks),
+        segments=[(b * prompt_len + lo, (b + 1) * prompt_len + hi)
+                  for b, (lo, hi) in enumerate(spans)],
+        prompt_len=prompt_len,
     )
 
 

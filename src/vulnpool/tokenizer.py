@@ -45,9 +45,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def id_of(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unk_id)
-
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_id
 
@@ -95,9 +92,8 @@ def encode(code: str, vocab: Vocabulary, max_tokens: int = 512) -> TokenSequence
     if max_tokens < 2:
         raise TokenizerError(f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, "
                              f"got {max_tokens}")
-    body = [vocab.id_of(tok) for tok in tokenize(code)]
-    if len(body) > max_tokens - 2:
-        body = body[: max_tokens - 2]
+    lookup, unk = vocab.token_to_id.get, vocab.unk_id
+    body = [lookup(tok, unk) for tok in tokenize(code)[: max_tokens - 2]]
     return TokenSequence([vocab.cls_id] + body + [vocab.eos_id])
 
 

@@ -73,6 +73,7 @@ class EpochRecord:
     val_f1: float
     selection_counts: dict[str, dict[int, int]] = field(default_factory=dict)
     params_touched: int = 0
+    keys_reinitialised: list[int] = field(default_factory=list)  # zero keys re-drawn, in order
 
     def to_record(self) -> dict:
         return {
@@ -85,6 +86,7 @@ class EpochRecord:
                 lang: dict(counts) for lang, counts in self.selection_counts.items()
             },
             "params_touched": self.params_touched,
+            "keys_reinitialised": list(self.keys_reinitialised),
         }
 
 
@@ -99,14 +101,58 @@ class TrainHistory:
 # optimizer
 
 class AdamState:
+    """Step count, and first and second moments by parameter name.
+
+    The moments of a flat group (see `adam_step`) are views of two buffers
+    laid out like the group's own. `flat_slots` builds them on the group's
+    first step, or when its buffer changes, and moves in any moments stored
+    by name, such as a loaded checkpoint's."""
+
     def __init__(self):
         self.step = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._flat = None  # (the group's parameter buffer, m buffer, v buffer)
 
     def slot(self, name: str, like: np.ndarray):
         if name not in self.moments:
             self.moments[name] = (np.zeros_like(like), np.zeros_like(like))
         return self.moments[name]
+
+    def flat_slots(self, buffer: np.ndarray, group) -> tuple[np.ndarray, np.ndarray]:
+        """The m and v buffers of the (name, parameter) pairs `group`, whose
+        arrays are views of `buffer` in order and cover it."""
+        if self._flat is None or self._flat[0] is not buffer:
+            start = buffer.__array_interface__["data"][0]
+            m, v = np.zeros_like(buffer), np.zeros_like(buffer)
+            offset = 0
+            for name, p in group:
+                if p.data.__array_interface__["data"][0] != start + offset * buffer.itemsize:
+                    raise ValueError(f"adam_step: {name} is out of place in its flat buffer")
+                part = slice(offset, offset + p.data.size)
+                views = m[part].reshape(p.data.shape), v[part].reshape(p.data.shape)
+                for view, stored in zip(views, self.moments.get(name, ())):
+                    view[...] = stored
+                self.moments[name] = views
+                offset += p.data.size
+            self._flat = (buffer, m, v)
+        return self._flat[1], self._flat[2]
+
+
+def _flat_group(named_params):
+    """(buffer, group, rest): the parameters whose arrays are views, in
+    order, that cover one 1-D buffer, and all others. With no such group,
+    buffer is None and every parameter is in rest."""
+    buffer, group, rest = None, [], []
+    for name, p in named_params:
+        base = p.data.base
+        if base is not None and base.ndim == 1 and (buffer is None or base is buffer):
+            buffer = base
+            group.append((name, p))
+        else:
+            rest.append((name, p))
+    if buffer is None or sum(p.data.size for _, p in group) != buffer.size:
+        return None, [], list(named_params)
+    return buffer, group, rest
 
 
 def adam_step(
@@ -118,31 +164,43 @@ def adam_step(
     eps: float = 1e-8,
     grad_clip: float | None = None,
 ):
-    """One bias-corrected adaptive-moment update over all gradients present."""
+    """One bias-corrected adaptive-moment update over all gradients present.
+
+    Parameters whose arrays are views, in order, that cover one flat buffer
+    (a model's dense group, see `VulnPoolModel.parameters`) are updated as
+    that buffer, with their gradients concatenated: each of them must have
+    one. Every other parameter is updated on its own, and only when it has a
+    gradient, so a pool matrix that no sample selected keeps its value and
+    its moments. Each element takes the same steps either way."""
     named_params = list(named_params)
+    buffer, group, rest = _flat_group(named_params)
+    factor = None
     if grad_clip is not None:
         total = math.sqrt(
             sum(float((p.grad**2).sum()) for _, p in named_params if p.grad is not None)
         )
         if total > grad_clip > 0:
             factor = grad_clip / total
-            for _, p in named_params:
-                if p.grad is not None:
-                    p.grad = p.grad * factor
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in named_params:
-        g = p.grad
-        if g is None:
-            continue
-        m, v = state.slot(name, p.data)
+    updates = [(p.data, p.grad, *state.slot(name, p.data))
+               for name, p in rest if p.grad is not None]
+    if group:
+        missing = [name for name, p in group if p.grad is None]
+        if missing:
+            raise ValueError(f"adam_step: {missing[0]} has no gradient, but its flat group does")
+        g = np.concatenate([p.grad for _, p in group], axis=None)
+        updates.append((buffer, g, *state.flat_slots(buffer, group)))
+    for data, g, m, v in updates:
+        if factor is not None:
+            g = g * factor
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +267,8 @@ def train(
     best_f1 = -1.0
     best_epoch = None
     best_params = None
+    # a key loaded or set at zero would fail the first selection
+    reinitialised = pl.reinit_zero_keys(model.keys, reinit_rng)
 
     for epoch in range(start_epoch, config.epochs):
         order = _epoch_order(len(split.train), config.seed, epoch)
@@ -230,13 +290,13 @@ def train(
             if history.initial_train_loss is None:
                 history.initial_train_loss = value
             losses.append(value)
-            for name, p in model.parameters():
-                if p.grad is not None:
-                    touched.add(name)
-            adam_step(model.parameters(), state, config.lr, config.beta1, config.beta2,
-                      config.eps, config.grad_clip)
-            model.zero_grad()
-            pl.reinit_zero_keys(model.keys, reinit_rng)
+            named = model.parameters()
+            touched.update(name for name, p in named if p.grad is not None)
+            adam_step(named, state, config.lr, config.beta1, config.beta2, config.eps,
+                      config.grad_clip)
+            for _, p in named:
+                p.grad = None
+            reinitialised += pl.reinit_zero_keys(model.keys, reinit_rng)
 
         val_report, _ = (ev.evaluate_model(model, split.val, val_seqs) if split.val
                          else (None, None))
@@ -248,8 +308,10 @@ def train(
             val_f1=val_report.f1 if val_report else 0.0,
             selection_counts=_nest_selections(selections),
             params_touched=len(touched),
+            keys_reinitialised=reinitialised,
         )
         history.epochs.append(record)
+        reinitialised = []
         if log:
             log(f"epoch {epoch}: loss={record.train_loss:.4f} val_f1={record.val_f1:.4f}")
         if record.val_f1 > best_f1:
@@ -259,8 +321,11 @@ def train(
         if run_dir is not None:
             save_checkpoint(model, state, os.path.join(run_dir, f"epoch_{epoch}.ckpt"),
                             epochs_done=epoch + 1)
+            # one write per line, on disk before the next epoch starts
             with open(os.path.join(run_dir, "history.jsonl"), "a", encoding="utf-8") as f:
                 f.write(json.dumps(record.to_record(), sort_keys=True) + "\n")
+                f.flush()
+                os.fsync(f.fileno())
 
     history.best_epoch = best_epoch
     if best_params is not None:

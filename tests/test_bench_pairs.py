@@ -62,3 +62,10 @@ def test_calibration_is_timed_before_each_run_and_summarised(tmp_path, monkeypat
 
 def test_calibrate_takes_measurable_time():
     assert 0.0 < bench_pairs.calibrate() < 10.0
+
+
+def test_calibration_keeps_the_fastest_of_its_passes(monkeypatch):
+    passes = iter([0.05, 0.03, 0.07, 0.04, 0.06, 0.001])
+    monkeypatch.setattr(bench_pairs, "calibration_pass", lambda: next(passes))
+    assert bench_pairs.calibrate() == 0.03
+    assert next(passes) == 0.001  # five passes, no more

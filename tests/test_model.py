@@ -237,7 +237,8 @@ def test_surrogate_increases_under_model_forward(small_corpus):
     nc.backward(out.phi)
     key = model.keys[out.selections[0].i_star]
     key.data += 1e-3 * key.grad
-    model.zero_grad()
+    for _, p in model.parameters():
+        p.grad = None
     after = model.forward([sample], train_mode=True).phi.item()
     assert after > before
 

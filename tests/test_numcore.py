@@ -206,6 +206,84 @@ def test_segment_mean_values():
         nc.segment_mean(nc.tensor(x), [(2, 4), (3, 5)])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("segments", [
+    [(0, 3), (3, 10), (10, 11), (11, 40)],  # ragged, back to back
+    [(1, 3), (4, 9), (12, 40)],  # ragged, with gaps
+    [(0, 5), (5, 10), (10, 15), (15, 20)],  # back-to-back blocks of one length
+    [(0, 1), (2, 3), (4, 5)],  # one length with gaps, as the pooled prompt rows of 1
+    [(3, 40)],  # one range
+], ids=["ragged", "ragged_gaps", "blocks", "blocks_gaps", "single"])
+def test_segment_mean_bit_equal_to_per_slice_sums(segments, dtype):
+    x = rng(12).normal(size=(40, 24)).astype(dtype)
+    g = rng(13).normal(size=(len(segments), 24)).astype(dtype)
+    out = nc.segment_mean(nc.parameter(x), segments)
+    want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in segments])
+    assert out.data.dtype == dtype and np.array_equal(out.data, want)
+    want_grad = np.zeros_like(x)
+    for (lo, hi), row in zip(segments, g):
+        want_grad[lo:hi] = row / (hi - lo)
+    (grad,) = out._backward(g)
+    assert grad.dtype == dtype and np.array_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_prepend_rows_equals_the_gather_over_a_concatenated_table(dtype):
+    # the two-op form it replaces: the picked blocks and x stacked into one
+    # table, and one gather of each sequence's rows
+    r = rng(14)
+    blocks = [nc.parameter(r.normal(size=(3, 5)).astype(dtype)) for _ in range(6)]
+    x = nc.parameter(r.normal(size=(19, 5)).astype(dtype))
+    segments = [(0, 4), (4, 5), (5, 13), (13, 19)]
+    picks = np.array([[4, 1], [1, 1], [4, 0], [1, 4]])
+    out = nc.prepend_rows(x, segments, blocks, picks)
+
+    used = [0, 1, 4]
+    table = nc.concat_rows([blocks[i] for i in used] + [x])
+    rows = []
+    for (lo, hi), row in zip(segments, picks):
+        for i in row:
+            rows += range(3 * used.index(i), 3 * used.index(i) + 3)
+        rows += range(9 + lo, 9 + hi)
+    ref = nc.gather_rows(table, rows)
+    assert out.data.dtype == dtype and np.array_equal(out.data, ref.data)
+
+    grads = []
+    for y in (out, ref):
+        for t in blocks + [x]:
+            t.grad = None
+        nc.backward(scalarize(y))
+        grads.append([t.grad for t in blocks + [x]])
+    for got, want in zip(*grads):
+        assert (got is None) == (want is None)
+        assert got is None or (got.dtype == dtype and np.array_equal(got, want))
+    assert [g is None for g in grads[0][:6]] == [False, False, True, True, False, True]
+
+
+def test_prepend_rows_rejects_what_it_cannot_place():
+    blocks = [nc.tensor(np.zeros((2, 3))) for _ in range(2)]
+    x = nc.tensor(np.zeros((5, 3)))
+    with pytest.raises(IndexError, match="pick out of range"):
+        nc.prepend_rows(x, [(0, 5)], blocks, [[2]])
+    with pytest.raises(nc.ShapeError, match="do not tile"):
+        nc.prepend_rows(x, [(0, 2), (3, 5)], blocks, [[0], [1]])
+    with pytest.raises(nc.ShapeError, match="picks"):
+        nc.prepend_rows(x, [(0, 5)], blocks, [[0], [1]])
+    with pytest.raises(nc.ShapeError, match="blocks"):
+        nc.prepend_rows(nc.tensor(np.zeros((5, 4))), [(0, 5)], blocks, [[0]])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_rows_of_unique_ids_assigns_the_scatter_add(dtype):
+    r = rng(15)
+    table = nc.parameter(r.normal(size=(9, 4)).astype(dtype))
+    ids = [7, 0, 3, 4, 8]
+    g = r.normal(size=(5, 4)).astype(dtype)
+    (added,) = nc.gather_rows(table, ids)._backward(g)
+    (assigned,) = nc.gather_rows(table, ids, unique=True)._backward(g)
+    assert assigned.dtype == added.dtype == dtype and np.array_equal(assigned, added)
+
+
 def test_layer_norm_standardizes_rows():
     x = nc.tensor(rng(3).normal(size=(4, 16)) * 3 + 2)
     gamma = nc.tensor(np.ones(16))
@@ -308,9 +386,10 @@ def test_grad_check_cross_entropy_r2():
     ["linear_x", "linear_w", "linear_b", "matmul_rowwise_a", "matmul_rowwise_b",
      "add_bias", "scale", "sub",
      "layer_norm_x", "layer_norm_g", "layer_norm_b", "gelu",
-     "concat_rows", "concat_rows_vector", "gather_rows",
+     "concat_rows", "concat_rows_vector", "gather_rows", "gather_rows_unique",
+     "prepend_rows_x", "prepend_rows_block",
      "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b",
-     "segment_mean", "cross_entropy_rows",
+     "segment_mean", "segment_mean_blocks", "cross_entropy_rows",
      "attention_q", "attention_k", "attention_v",
      "attention_short_q", "attention_short_q_k", "attention_short_q_v"],
 )
@@ -326,6 +405,7 @@ def test_grad_check_each_op(name):
     mat45b = nc.tensor(r.normal(size=(4, 5)))
     vec3 = nc.tensor(r.normal(size=3))
     qkv = [nc.tensor(r.normal(size=(6, 4))) for _ in range(3)]
+    mat24, mat24b = (nc.tensor(r.normal(size=(2, 4))) for _ in range(2))
     # three segments of unequal length, one of them a single row
     segments = [(0, 1), (1, 4), (4, 6)]
 
@@ -359,12 +439,21 @@ def test_grad_check_each_op(name):
         "concat_rows": ((2, 3), lambda x: scalarize(nc.concat_rows([x, other]))),
         "concat_rows_vector": ((3,), lambda x: scalarize(nc.concat_rows([other, x, x]))),
         "gather_rows": ((5, 3), lambda x: scalarize(nc.gather_rows(x, [0, 2, 2, 4]))),
+        "gather_rows_unique": ((5, 3), lambda x: scalarize(
+            nc.gather_rows(x, [4, 0, 2], unique=True))),
+        # sequences of 1, 3 and 2 rows; a block picked twice for one sequence
+        "prepend_rows_x": ((6, 4), lambda x: scalarize(nc.prepend_rows(
+            x, segments, [mat24, mat24b], [[1, 0], [1, 1], [0, 1]]))),
+        "prepend_rows_block": ((2, 4), lambda b: scalarize(nc.prepend_rows(
+            qkv[0], segments, [mat24, b, mat24b], [[1, 0], [1, 1], [2, 1]]))),
         "cosine_a": ((4,), lambda x: nc.cosine_similarity(x, vec)),
         "cosine_b": ((4,), lambda x: nc.cosine_similarity(vec, x)),
         "cosine_rows_a": ((4, 5), lambda x: scalarize(nc.cosine_similarity(x, mat45b))),
         "cosine_rows_b": ((4, 5), lambda x: scalarize(nc.cosine_similarity(mat45b, x))),
         "segment_mean": ((6, 3), lambda x: scalarize(
             nc.segment_mean(x, [(0, 2), (2, 3), (4, 6)]))),
+        "segment_mean_blocks": ((6, 3), lambda x: scalarize(
+            nc.segment_mean(x, [(0, 2), (2, 4), (4, 6)]))),
         "cross_entropy_rows": ((4, 3), lambda x: nc.sum_all(
             nc.cross_entropy_logits(x, [2, 0, 1, 1]))),
         "attention_q": ((6, 4), lambda x: attend(x, 0)),

@@ -72,10 +72,31 @@ def test_encode_keeps_the_two_row_frame_at_any_budget():
             tok.encode("a b a", vocab, max_tokens)
 
 
+@pytest.mark.parametrize("n_tokens", [5, 8, 10, 30])  # framed: shorter than, equal to, longer
+def test_encode_looks_up_only_the_tokens_it_keeps(n_tokens):
+    max_tokens = 10
+    looked_up = []
+
+    class Counting(dict):
+        def get(self, token, default=None):
+            looked_up.append(token)
+            return super().get(token, default)
+
+    vocab = small_vocab(["a b c d"])
+    vocab.token_to_id = Counting(vocab.token_to_id)
+    text = " ".join(["a", "zz", "c", "b", "q"] * 6)
+    text = " ".join(text.split()[:n_tokens])
+    ids = tok.encode(text, vocab, max_tokens).ids
+    full = [dict.get(vocab.token_to_id, t, vocab.unk_id) for t in tok.tokenize(text)]
+    assert ids == [vocab.cls_id] + full[: max_tokens - 2] + [vocab.eos_id]
+    assert len(looked_up) == min(n_tokens, max_tokens - 2)
+
+
 def test_encode_simple():
     vocab = small_vocab(["a b"])
     seq = tok.encode("a b", vocab)
-    assert seq.ids == [vocab.cls_id, vocab.id_of("a"), vocab.id_of("b"), vocab.eos_id]
+    ids = vocab.token_to_id
+    assert seq.ids == [vocab.cls_id, ids["a"], ids["b"], vocab.eos_id]
 
 
 def test_encode_truncates_from_right_keeping_frame():

@@ -1,10 +1,12 @@
 import gc
+import json
+import math
 
 import numpy as np
 import pytest
 
 from vulnpool import checkpoint as ckpt
-from vulnpool import corpus, evaluate as ev, numcore as nc, tokenizer as tok, trainer
+from vulnpool import cli, corpus, evaluate as ev, numcore as nc, tokenizer as tok, trainer
 from vulnpool.checkpoint import CheckpointError
 from vulnpool.model import MODES, VulnPoolModel
 from vulnpool.trainer import AdamState, TrainConfig, adam_step
@@ -74,6 +76,65 @@ def test_adam_grad_clip_bounds_global_norm():
     adam_step([("p", p)], state, lr=0.1, grad_clip=1.0)
     # post-clip gradient has norm 1; first-step update magnitude ~ lr
     assert np.abs(p.data).max() <= 0.1 + 1e-9
+
+
+def reference_adam(arrays, moments, grads, t, lr, grad_clip=None,
+                   beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter update the flat group replaced: each array with a
+    gradient, on its own, in the order of `grads`."""
+    present = [(name, g) for name, g in grads.items() if g is not None]
+    if grad_clip is not None:
+        total = math.sqrt(sum(float((g**2).sum()) for _, g in present))
+        if total > grad_clip > 0:
+            present = [(name, g * (grad_clip / total)) for name, g in present]
+    bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for name, g in present:
+        m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        arrays[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+@pytest.mark.parametrize("grad_clip", [None, 0.05])
+def test_flat_adam_equals_the_per_parameter_update(small_split, grad_clip):
+    model = fresh_model(small_split)
+    named = model.parameters()
+    dense = [p for name, p in named if not name.startswith("pool.")]
+    buffer = dense[0].data.base
+    assert buffer is not None and all(p.data.base is buffer for p in dense)  # one flat buffer
+    arrays = {name: p.data.copy() for name, p in named}
+    moments, state = {}, AdamState()
+    idle = {"pool.P.1", "pool.P.3", "pool.k.1"}  # no gradient in any step
+    r = np.random.default_rng(21)
+    for t in range(1, 6):
+        grads = {}
+        for name, p in named:
+            pool = name.startswith("pool.")
+            got = not pool or (name not in idle and r.random() < 0.5)
+            grads[name] = (r.normal(0.0, 0.01, p.data.shape).astype(np.float32)
+                           if got else None)
+            p.grad = grads[name]
+        adam_step(named, state, lr=1e-2, grad_clip=grad_clip)
+        reference_adam(arrays, moments, grads, t, lr=1e-2, grad_clip=grad_clip)
+        assert sorted(state.moments) == sorted(moments)
+        for name, p in named:
+            assert np.array_equal(p.data, arrays[name]), (t, name)
+            if name in moments:
+                for got, want in zip(state.moments[name], moments[name]):
+                    assert got.dtype == np.float32 and np.array_equal(got, want), (t, name)
+    initial = fresh_model(small_split).snapshot_params()
+    for name in idle:
+        assert np.array_equal(arrays[name], initial[name]) and name not in state.moments
+
+
+def test_flat_adam_needs_every_gradient_of_its_group(small_split):
+    model = fresh_model(small_split)
+    for name, p in model.parameters():
+        p.grad = None if name == "cls.b" else np.ones_like(p.data)
+    with pytest.raises(ValueError, match="cls.b has no gradient"):
+        adam_step(model.parameters(), AdamState(), lr=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +248,40 @@ def test_empty_training_split_rejected(small_split):
     empty = corpus.DatasetSplit([], small_split.val, small_split.test)
     with pytest.raises(ValueError, match="empty"):
         trainer.train(model, empty, TrainConfig(epochs=1, seed=0))
+
+
+def test_history_line_is_on_disk_before_a_later_save_fails(small_split, tmp_path,
+                                                            monkeypatch):
+    save, fsync = trainer.save_checkpoint, trainer.os.fsync
+    synced = []
+
+    def failing_save(model, state, path, epochs_done=0):
+        if str(path).endswith("epoch_1.ckpt"):
+            raise OSError("disk full")
+        save(model, state, path, epochs_done)
+
+    monkeypatch.setattr(trainer, "save_checkpoint", failing_save)
+    monkeypatch.setattr(trainer.os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+    with pytest.raises(OSError, match="disk full"):
+        trainer.train(fresh_model(small_split), small_split,
+                      TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=0), run_dir=tmp_path)
+    (line,) = (tmp_path / "history.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert line.endswith("\n") and json.loads(line)["epoch"] == 0
+    assert len(synced) == 1
+    assert cli.main(["report", "--run", str(tmp_path)]) == 0
+
+
+def test_zeroed_key_is_reinitialised_and_recorded(small_split, tmp_path):
+    config = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0)
+    model = fresh_model(small_split)
+    model.keys[2].data[...] = 0.0
+    _, history = trainer.train(model, small_split, config, run_dir=tmp_path)
+    assert history.epochs[0].keys_reinitialised == [2]
+    assert np.linalg.norm(model.keys[2].data) > 0
+    record = json.loads((tmp_path / "history.jsonl").read_text(encoding="utf-8"))
+    assert record["keys_reinitialised"] == [2]
+    _, untouched = trainer.train(fresh_model(small_split), small_split, config)
+    assert untouched.epochs[0].keys_reinitialised == []
 
 
 # ---------------------------------------------------------------------------
