@@ -221,10 +221,10 @@ def build_run_config(file_path=None, overrides: dict | None = None) -> RunConfig
 # ---------------------------------------------------------------------------
 # builders
 
-def build_model(run_cfg: RunConfig, vocab: Vocabulary, seed: int | None = None) -> VulnPoolModel:
+def build_model(run_cfg: RunConfig, vocab: Vocabulary) -> VulnPoolModel:
     run_cfg.validate()
     return VulnPoolModel(run_cfg.model_config(), run_cfg.encoder_config(), vocab,
-                         seed=run_cfg.seed if seed is None else seed)
+                         seed=run_cfg.seed)
 
 
 def build_train_config(run_cfg: RunConfig) -> TrainConfig:

@@ -281,14 +281,12 @@ def strip_comments(code: str, language: Language) -> str:
 # ---------------------------------------------------------------------------
 # length filtering and splitting
 
-def filter_by_length(samples, max_tokens: int = 512, length_fn=None):
+def filter_by_length(samples, max_tokens: int = 512):
     """Partition samples by framed token count; both halves are returned
     so nothing is silently discarded."""
-    if length_fn is None:
-        length_fn = tok.token_length
     kept, dropped = [], []
     for s in samples:
-        (kept if length_fn(s.code) <= max_tokens else dropped).append(s)
+        (kept if tok.token_length(s.code) <= max_tokens else dropped).append(s)
     return kept, dropped
 
 

@@ -128,7 +128,7 @@ class BreakdownReport:
         return rec
 
 
-def breakdown(predictions, labels, samples, by: str, top_cwes=DEFAULT_TOP_CWES) -> BreakdownReport:
+def breakdown(predictions, labels, samples, by: str) -> BreakdownReport:
     """Per-group metrics keyed by language tag or CWE id.
 
     Samples without a CWE group under "unknown". For CWE breakdowns a
@@ -155,10 +155,10 @@ def breakdown(predictions, labels, samples, by: str, top_cwes=DEFAULT_TOP_CWES) 
 
     macro = None
     if by == "cwe":
-        listed = [groups[c].report for c in top_cwes if c in groups]
+        listed = [groups[c].report for c in DEFAULT_TOP_CWES if c in groups]
         if listed:
             macro = {
-                "cwes": [c for c in top_cwes if c in groups],
+                "cwes": [c for c in DEFAULT_TOP_CWES if c in groups],
                 "recall": sum(r.recall for r in listed) / len(listed),
                 "precision": sum(r.precision for r in listed) / len(listed),
                 "f1": sum(r.f1 for r in listed) / len(listed),

@@ -125,9 +125,7 @@ class VulnPoolModel:
         self.keys = pl.init_random(config.pool_size, (enc_config.d_model,), rng)
         self.classifier_w = nc.parameter(rng.normal(0.0, 0.02, size=(enc_config.d_model, 2)))
         self.classifier_b = nc.parameter(np.zeros(2))
-        for p in self.pool + self.keys:  # drawn in float64, computed in float32
-            p.data = p.data.astype(np.float32)
-        _flatten(self._dense(), np.float32)
+        self.flat = _flatten(self.parameters(), np.float32)  # drawn in float64, cast
         if config.pool_size >= len(pl.LANGUAGES) * config.matrices_per_language:
             self.assignment = pl.LanguageAssignment.default(config.matrices_per_language)
             # row l masks the pool indices assigned to pl.LANGUAGES[l]
@@ -142,30 +140,21 @@ class VulnPoolModel:
     # parameter access
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        """Every parameter by name. The dense group, the encoder's and the
-        classifier's, are views in this order of one flat buffer, which
-        `trainer.adam_step` updates as one array. Each pool matrix and key is
-        an array of its own: one that no sample selected gets no gradient and
-        no update."""
+        """Every parameter by name, each a view, in this order, of the 1-D
+        buffer `self.flat`, which `trainer.adam_step` updates."""
         named = self.encoder.parameters()
         named += [(f"pool.P.{i}", m) for i, m in enumerate(self.pool)]
         named += [(f"pool.k.{i}", k) for i, k in enumerate(self.keys)]
         named += [("cls.w", self.classifier_w), ("cls.b", self.classifier_b)]
         return named
 
-    def _dense(self) -> list[tuple[str, Tensor]]:
-        """The dense group by name, in the order of its buffer."""
-        return self.encoder.parameters() + [("cls.w", self.classifier_w),
-                                            ("cls.b", self.classifier_b)]
-
     def snapshot_params(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters()}
 
     def load_params(self, arrays: dict[str, np.ndarray]):
-        """Take a copy of each stored array, in its own dtype: the model then
-        computes in that dtype (a float64 checkpoint predicts in float64).
-        The dense group's arrays, copied into one new flat buffer, must share
-        one dtype."""
+        """Copy the stored arrays into a new flat buffer of their dtype, which
+        they must share: the model then computes in that dtype (a float64
+        checkpoint predicts in float64)."""
         named = self.parameters()
         for name, p in named:
             if name not in arrays:
@@ -175,15 +164,14 @@ class VulnPoolModel:
                     f"parameter {name!r}: expected shape {p.data.shape}, "
                     f"got {arrays[name].shape}"
                 )
-        dense = self._dense()
-        dtypes = {arrays[name].dtype for name, _ in dense}
+        dtypes = {arrays[name].dtype for name, _ in named}
         if len(dtypes) != 1:
-            raise ValueError(f"encoder and classifier arrays must share one dtype, found "
+            raise ValueError(f"parameter arrays must share one dtype, found "
                              f"{', '.join(sorted(d.str for d in dtypes))}")
         for name, p in named:
-            p.data = arrays[name].copy()
+            p.data = arrays[name]
             p.grad = None
-        _flatten(dense, dtypes.pop())
+        self.flat = _flatten(named, dtypes.pop())
 
     def copy(self) -> "VulnPoolModel":
         clone = VulnPoolModel(self.config, self.encoder.config, self.vocab)
@@ -301,16 +289,25 @@ class VulnPoolModel:
         return predictions
 
 
-def _flatten(named, dtype):
-    """Copy the arrays of the (name, tensor) pairs `named` into one new 1-D
-    `dtype` buffer, in order, and make each tensor's array its view of it."""
-    flat = np.empty(sum(t.data.size for _, t in named), dtype=dtype)
+def parameter_views(buffer: np.ndarray, named):
+    """(name, view) of the 1-D `buffer` for each (name, tensor) pair of
+    `named`, in order, shaped like the tensor: the layout of
+    `VulnPoolModel.flat`, and of any buffer laid out like it."""
     offset = 0
-    for _, t in named:
-        view = flat[offset:offset + t.data.size].reshape(t.data.shape)
+    for name, t in named:
+        yield name, buffer[offset:offset + t.data.size].reshape(t.data.shape)
+        offset += t.data.size
+
+
+def _flatten(named, dtype) -> np.ndarray:
+    """Copy the arrays of the (name, tensor) pairs `named` into one new 1-D
+    `dtype` buffer, in order, make each tensor's array its view of it and
+    return the buffer."""
+    flat = np.empty(sum(t.data.size for _, t in named), dtype=dtype)
+    for (_, t), (_, view) in zip(named, parameter_views(flat, named)):
         view[...] = t.data
         t.data = view
-        offset += view.size
+    return flat
 
 
 def _predictions(out: ForwardResult) -> list[Prediction]:

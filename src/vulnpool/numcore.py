@@ -247,7 +247,10 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+_LN_EPS = 1e-5  # added to each row's variance
+
+
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Row-wise layer normalization with affine parameters gamma/beta.
 
     Keeps the normalized rows and each row's 1/std for backward; the
@@ -264,7 +267,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     # sum / d is what ndarray.mean computes, without its Python-level wrapper
     xhat = a.data - a.data.sum(axis=1, keepdims=True) / d
     var = np.einsum("ij,ij->i", xhat, xhat) / d
-    inv_std = 1.0 / np.sqrt(var + eps)[:, None]
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)[:, None]
     xhat *= inv_std
     data = xhat * gamma.data
     data += beta.data
@@ -321,42 +324,35 @@ def segment_mean(a: Tensor, segments) -> Tensor:
     summed in one reduction: back-to-back ranges of one length as one
     reshaped block, others copied into a (ranges, longest, ...) block padded
     with -0.0, the one value whose addition changes no sum (`ufunc.reduceat`
-    sums in another order). One range is summed as its slice. numpy sums a
-    range of one-element rows pairwise, so for ranges of unequal length over
-    such rows the padded block can differ from the slice in the last bit.
+    sums in another order). numpy sums a range of one-element rows pairwise,
+    so for ranges of unequal length over such rows the padded block can
+    differ from the slice in the last bit.
     """
     if a.data.ndim < 1:
         raise ShapeError(f"segment_mean: expected at least 1-D input, got {a.shape}")
     spans = _segments(segments, a.shape[0], "segment_mean")
     x = a.data
-    if len(spans) == 1:
-        ((lo, hi),) = spans
-        data = (x[lo:hi].sum(axis=0) / (hi - lo))[None]
-
-        def bw_one(g):
-            out = np.zeros_like(x)
-            out[lo:hi] = g[0] / (hi - lo)
-            return (out,)
-
-        return _make(data, (a,), bw_one)
-
-    lo, hi = np.array(spans, dtype=np.int64).T
-    lens = hi - lo
     count = len(spans)
-    longest = int(lens.max())
     tail = x.shape[1:]
-    div = lens.astype(x.dtype).reshape((count,) + (1,) * len(tail))
-    if longest * count == hi[-1] - lo[0] and (lens == longest).all():  # back to back
-        block = slice(int(lo[0]), int(hi[-1]))
-        data = x[block].reshape((count, longest) + tail).sum(axis=1) / div
+    start, stop = spans[0][0], spans[-1][1]
+    width = (stop - start) // count
+    if width * count == stop - start and all(hi - lo == width for lo, hi in spans):
+        # back to back: one reshaped block. Tested on the spans, not on arrays
+        # built from them, which cost a one-sample forward more than its sums
+        block = (count, width) + tail
+        data = x[start:stop].reshape(block).sum(axis=1) / width
 
         def bw(g):
             out = np.zeros_like(x)
-            out[block].reshape((count, longest) + tail)[...] = (g / div)[:, None]
+            out[start:stop].reshape(block)[...] = (g / width)[:, None]
             return (out,)
 
         return _make(data, (a,), bw)
 
+    lo, hi = np.array(spans, dtype=np.int64).T
+    lens = hi - lo
+    longest = int(lens.max())
+    div = lens.astype(x.dtype).reshape((count,) + (1,) * len(tail))
     # each range's rows, then the row of -0.0 appended to x up to the longest
     picked = lo[:, None] + np.arange(longest)
     picked = np.where(picked < hi[:, None], picked, x.shape[0])

@@ -18,24 +18,28 @@ from .corpus import LANGUAGES, Language
 from .numcore import Tensor
 
 
+# standard deviation of the normal draws of pool matrices and keys
+INIT_STD = 0.02
+
+
 class PoolError(ValueError):
     pass
 
 
 def init_random(size: int, shape: tuple[int, ...], rng) -> list[Tensor]:
-    """`size` learnable arrays of `shape` drawn from normal(0, 0.02): the pool
-    matrices (prompt_len, d_model) or the keys (d_model,). Each is its own
-    parameter, so an unselected one gets no gradient and Adam leaves it be."""
-    return [nc.parameter(rng.normal(0.0, 0.02, size=shape)) for _ in range(size)]
+    """`size` learnable arrays of `shape` drawn from normal(0, INIT_STD): the
+    pool matrices (prompt_len, d_model) or the keys (d_model,). Each is its
+    own parameter, so an unselected one gets no gradient and Adam leaves it be."""
+    return [nc.parameter(rng.normal(0.0, INIT_STD, size=shape)) for _ in range(size)]
 
 
-def reinit_zero_keys(keys: list[Tensor], rng, scale: float = 0.02) -> list[int]:
+def reinit_zero_keys(keys: list[Tensor], rng) -> list[int]:
     """Re-draw any key whose norm underflowed to zero, which `select` would
     reject; returns their indices. The norms are one einsum, as in `select`."""
     kd = np.stack([k.data for k in keys])
     redone = np.flatnonzero(np.sqrt(np.einsum("nd,nd->n", kd, kd)) < 1e-12).tolist()
     for i in redone:
-        keys[i].data[...] = rng.normal(0.0, scale, size=keys[i].data.shape)
+        keys[i].data[...] = rng.normal(0.0, INIT_STD, size=keys[i].data.shape)
         keys[i].grad = None
     return redone
 

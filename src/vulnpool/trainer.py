@@ -22,7 +22,7 @@ from . import evaluate as ev
 from . import numcore as nc
 from . import pool as pl
 from .corpus import DatasetSplit
-from .model import MODES, ModelConfig, VulnPoolModel
+from .model import MODES, ModelConfig, VulnPoolModel, parameter_views
 from .encoder import EncoderConfig
 from .tokenizer import Vocabulary
 
@@ -101,61 +101,17 @@ class TrainHistory:
 # optimizer
 
 class AdamState:
-    """Step count, and first and second moments by parameter name.
-
-    The moments of a flat group (see `adam_step`) are views of two buffers
-    laid out like the group's own. `flat_slots` builds them on the group's
-    first step, or when its buffer changes, and moves in any moments stored
-    by name, such as a loaded checkpoint's."""
+    """Step count, and first and second moments laid out like the model's
+    flat parameter buffer (see `adam_step`); None until the first step."""
 
     def __init__(self):
         self.step = 0
-        self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._flat = None  # (the group's parameter buffer, m buffer, v buffer)
-
-    def slot(self, name: str, like: np.ndarray):
-        if name not in self.moments:
-            self.moments[name] = (np.zeros_like(like), np.zeros_like(like))
-        return self.moments[name]
-
-    def flat_slots(self, buffer: np.ndarray, group) -> tuple[np.ndarray, np.ndarray]:
-        """The m and v buffers of the (name, parameter) pairs `group`, whose
-        arrays are views of `buffer` in order and cover it."""
-        if self._flat is None or self._flat[0] is not buffer:
-            start = buffer.__array_interface__["data"][0]
-            m, v = np.zeros_like(buffer), np.zeros_like(buffer)
-            offset = 0
-            for name, p in group:
-                if p.data.__array_interface__["data"][0] != start + offset * buffer.itemsize:
-                    raise ValueError(f"adam_step: {name} is out of place in its flat buffer")
-                part = slice(offset, offset + p.data.size)
-                views = m[part].reshape(p.data.shape), v[part].reshape(p.data.shape)
-                for view, stored in zip(views, self.moments.get(name, ())):
-                    view[...] = stored
-                self.moments[name] = views
-                offset += p.data.size
-            self._flat = (buffer, m, v)
-        return self._flat[1], self._flat[2]
-
-
-def _flat_group(named_params):
-    """(buffer, group, rest): the parameters whose arrays are views, in
-    order, that cover one 1-D buffer, and all others. With no such group,
-    buffer is None and every parameter is in rest."""
-    buffer, group, rest = None, [], []
-    for name, p in named_params:
-        base = p.data.base
-        if base is not None and base.ndim == 1 and (buffer is None or base is buffer):
-            buffer = base
-            group.append((name, p))
-        else:
-            rest.append((name, p))
-    if buffer is None or sum(p.data.size for _, p in group) != buffer.size:
-        return None, [], list(named_params)
-    return buffer, group, rest
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
 
 def adam_step(
+    flat: np.ndarray,
     named_params,
     state: AdamState,
     lr: float,
@@ -164,16 +120,26 @@ def adam_step(
     eps: float = 1e-8,
     grad_clip: float | None = None,
 ):
-    """One bias-corrected adaptive-moment update over all gradients present.
+    """One bias-corrected adaptive-moment update of `flat`, the 1-D buffer
+    whose views, in order, are the parameters of the (name, parameter)
+    pairs `named_params` (see `VulnPoolModel.parameters`).
 
-    Parameters whose arrays are views, in order, that cover one flat buffer
-    (a model's dense group, see `VulnPoolModel.parameters`) are updated as
-    that buffer, with their gradients concatenated: each of them must have
-    one. Every other parameter is updated on its own, and only when it has a
-    gradient, so a pool matrix that no sample selected keeps its value and
-    its moments. Each element takes the same steps either way."""
+    Each maximal run of consecutive parameters that have a gradient is
+    updated as one slice of `flat`, with their gradients concatenated. A
+    parameter without one, such as a pool matrix that no sample selected,
+    keeps its value and its moments."""
     named_params = list(named_params)
-    buffer, group, rest = _flat_group(named_params)
+    if (sum(p.data.size for _, p in named_params) != flat.size
+            or any(p.data.base is not flat for _, p in named_params)):
+        raise ValueError("adam_step: the parameters are not views that cover the flat buffer")
+    runs, offset = [], 0  # [start, stop, gradients] of each run with gradients
+    for _, p in named_params:
+        if p.grad is not None:
+            if not runs or runs[-1][1] != offset:
+                runs.append([offset, offset, []])
+            runs[-1][1] += p.data.size
+            runs[-1][2].append(p.grad)
+        offset += p.data.size
     factor = None
     if grad_clip is not None:
         total = math.sqrt(
@@ -181,26 +147,22 @@ def adam_step(
         )
         if total > grad_clip > 0:
             factor = grad_clip / total
+    if state.m is None:
+        state.m, state.v = np.zeros_like(flat), np.zeros_like(flat)
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    updates = [(p.data, p.grad, *state.slot(name, p.data))
-               for name, p in rest if p.grad is not None]
-    if group:
-        missing = [name for name, p in group if p.grad is None]
-        if missing:
-            raise ValueError(f"adam_step: {missing[0]} has no gradient, but its flat group does")
-        g = np.concatenate([p.grad for _, p in group], axis=None)
-        updates.append((buffer, g, *state.flat_slots(buffer, group)))
-    for data, g, m, v in updates:
+    for lo, hi, grads in runs:
+        g = np.concatenate(grads, axis=None)
         if factor is not None:
-            g = g * factor
+            g *= factor
+        m, v = state.m[lo:hi], state.v[lo:hi]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        flat[lo:hi] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +254,8 @@ def train(
             losses.append(value)
             named = model.parameters()
             touched.update(name for name, p in named if p.grad is not None)
-            adam_step(named, state, config.lr, config.beta1, config.beta2, config.eps,
-                      config.grad_clip)
+            adam_step(model.flat, named, state, config.lr, config.beta1, config.beta2,
+                      config.eps, config.grad_clip)
             for _, p in named:
                 p.grad = None
             reinitialised += pl.reinit_zero_keys(model.keys, reinit_rng)
@@ -350,11 +312,15 @@ def _nest_selections(selections: Counter) -> dict[str, dict[int, int]]:
 # checkpoints
 
 def save_checkpoint(model: VulnPoolModel, state: AdamState | None, path, epochs_done: int = 0):
-    arrays = {name: p.data for name, p in model.parameters()}
-    if state is not None:
-        for name, (m, v) in state.moments.items():
-            arrays[f"adam.m.{name}"] = m
-            arrays[f"adam.v.{name}"] = v
+    """Store the parameters and, once Adam has stepped, each parameter's
+    moments; a parameter never updated has all-zero moments, as in a fresh
+    state."""
+    named = model.parameters()
+    arrays = {name: p.data for name, p in named}
+    if state is not None and state.m is not None:
+        for which, buffer in (("m", state.m), ("v", state.v)):
+            arrays.update((f"adam.{which}.{name}", view)
+                          for name, view in parameter_views(buffer, named))
     meta = {
         "kind": "train",
         "model": asdict(model.config),
@@ -404,17 +370,23 @@ def load_checkpoint(path, vocab: Vocabulary):
             f"{path}: manifest field 'assignment' is {meta.get('assignment')} but the model "
             f"settings give {rebuilt}"
         )
-    expected = {name: p.data.shape for name, p in model.parameters()}
+    named = model.parameters()
+    expected = {name: p.data.shape for name, p in named}
     params = {k: a for k, a in arrays.items() if not k.startswith("adam.")}
     ckpt.check_shapes(params, expected, where=str(path))
+    moments = {k: a for k, a in arrays.items() if k.startswith("adam.")}
+    ckpt.check_shapes(moments, {f"adam.{which}.{name}": shape for which in "mv"
+                                for name, shape in expected.items()
+                                if f"adam.{which}.{name}" in moments}, where=str(path))
     model.load_params(params)
     state = AdamState()
     state.step = int(meta.get("adam_step", 0))
-    for name in expected:
-        m = arrays.get(f"adam.m.{name}")
-        v = arrays.get(f"adam.v.{name}")
-        if m is not None and v is not None:
-            state.moments[name] = (m.copy(), v.copy())
+    if moments:  # a moment not stored is zero, as for a parameter never updated
+        state.m, state.v = np.zeros_like(model.flat), np.zeros_like(model.flat)
+        for which, buffer in (("m", state.m), ("v", state.v)):
+            for name, view in parameter_views(buffer, named):
+                if f"adam.{which}.{name}" in moments:
+                    view[...] = moments[f"adam.{which}.{name}"]
     return model, state, meta
 
 
@@ -471,15 +443,14 @@ class SweepResult:
         ]
 
 
-def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str, values=None,
+def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str,
           log=None) -> SweepResult:
     """Train one model per axis value (shared seed) and tabulate test metrics."""
     from .config import build_model, build_train_config
 
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {sorted(SWEEP_AXES)}")
-    field_name, grid = SWEEP_AXES[axis]
-    values = list(values) if values is not None else list(grid)
+    field_name, values = SWEEP_AXES[axis]
     configs = []
     for value in values:
         changes = {field_name: value}

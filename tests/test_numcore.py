@@ -213,18 +213,22 @@ def test_segment_mean_values():
     [(0, 5), (5, 10), (10, 15), (15, 20)],  # back-to-back blocks of one length
     [(0, 1), (2, 3), (4, 5)],  # one length with gaps, as the pooled prompt rows of 1
     [(3, 40)],  # one range
-], ids=["ragged", "ragged_gaps", "blocks", "blocks_gaps", "single"])
+    [(0, 40)],  # one range over every row
+], ids=["ragged", "ragged_gaps", "blocks", "blocks_gaps", "single", "single_whole"])
 def test_segment_mean_bit_equal_to_per_slice_sums(segments, dtype):
     x = rng(12).normal(size=(40, 24)).astype(dtype)
     g = rng(13).normal(size=(len(segments), 24)).astype(dtype)
-    out = nc.segment_mean(nc.parameter(x), segments)
-    want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in segments])
-    assert out.data.dtype == dtype and np.array_equal(out.data, want)
-    want_grad = np.zeros_like(x)
-    for (lo, hi), row in zip(segments, g):
-        want_grad[lo:hi] = row / (hi - lo)
-    (grad,) = out._backward(g)
-    assert grad.dtype == dtype and np.array_equal(grad, want_grad)
+    # one range, which runs the back-to-back path, over 1-D rows too
+    cases = [(x, g), (x[:, 0].copy(), g[:, 0].copy())] if len(segments) == 1 else [(x, g)]
+    for x, g in cases:
+        out = nc.segment_mean(nc.parameter(x), segments)
+        want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in segments])
+        assert out.data.dtype == dtype and np.array_equal(out.data, want)
+        want_grad = np.zeros_like(x)
+        for (lo, hi), row in zip(segments, g):
+            want_grad[lo:hi] = row / (hi - lo)
+        (grad,) = out._backward(g)
+        assert grad.dtype == dtype and np.array_equal(grad, want_grad)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

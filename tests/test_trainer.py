@@ -28,18 +28,25 @@ def fresh_model(split, mode="pool_masked", seed=0):
 # ---------------------------------------------------------------------------
 # adam
 
+def flat_parameter(values):
+    """(buffer, parameter): a parameter that is a view of the whole of its
+    own flat buffer, as `adam_step` takes it."""
+    buffer = np.array(values, dtype=np.float64)
+    return buffer, nc.parameter(buffer[:])
+
+
 def test_adam_zero_grads_leave_params_unchanged():
-    p = nc.parameter(np.array([1.0, 2.0]))
+    buffer, p = flat_parameter([1.0, 2.0])
     p.grad = np.zeros(2)
     state = AdamState()
-    adam_step([("p", p)], state, lr=0.1)
+    adam_step(buffer, [("p", p)], state, lr=0.1)
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
 def test_adam_missing_grads_leave_params_unchanged():
-    p = nc.parameter(np.array([3.0]))
+    buffer, p = flat_parameter([3.0])
     state = AdamState()
-    adam_step([("p", p)], state, lr=0.1)
+    adam_step(buffer, [("p", p)], state, lr=0.1)
     assert np.array_equal(p.data, [3.0])
 
 
@@ -47,41 +54,41 @@ def test_adam_first_step_matches_hand_computation():
     # scalar oracle: m1 = (1-b1) g, v1 = (1-b2) g^2, mhat = g, vhat = g^2,
     # update = -lr * g / (|g| + eps)
     for g in (0.5, -2.0, 1e-3):
-        p = nc.parameter(np.array([1.0]))
+        buffer, p = flat_parameter([1.0])
         p.grad = np.array([g])
         state = AdamState()
-        adam_step([("p", p)], state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(buffer, [("p", p)], state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
         expected = 1.0 - 0.01 * g / (abs(g) + 1e-8)
         assert p.data[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_adam_constant_grad_update_magnitude_approaches_lr():
     # closed-form limit: mhat -> g, vhat -> g^2, so |step| -> lr
-    p = nc.parameter(np.array([0.0]))
+    buffer, p = flat_parameter([0.0])
     state = AdamState()
     lr = 0.01
     magnitudes = []
     for _ in range(500):
         before = float(p.data[0])
         p.grad = np.array([3.7])
-        adam_step([("p", p)], state, lr=lr)
+        adam_step(buffer, [("p", p)], state, lr=lr)
         magnitudes.append(abs(float(p.data[0]) - before))
     assert magnitudes[-1] == pytest.approx(lr, rel=1e-6)
 
 
 def test_adam_grad_clip_bounds_global_norm():
-    p = nc.parameter(np.zeros(4))
+    buffer, p = flat_parameter(np.zeros(4))
     p.grad = np.full(4, 100.0)
     state = AdamState()
-    adam_step([("p", p)], state, lr=0.1, grad_clip=1.0)
+    adam_step(buffer, [("p", p)], state, lr=0.1, grad_clip=1.0)
     # post-clip gradient has norm 1; first-step update magnitude ~ lr
     assert np.abs(p.data).max() <= 0.1 + 1e-9
 
 
 def reference_adam(arrays, moments, grads, t, lr, grad_clip=None,
                    beta1=0.9, beta2=0.999, eps=1e-8):
-    """The per-parameter update the flat group replaced: each array with a
-    gradient, on its own, in the order of `grads`."""
+    """The per-parameter update: each array with a gradient, on its own, in
+    the order of `grads`."""
     present = [(name, g) for name, g in grads.items() if g is not None]
     if grad_clip is not None:
         total = math.sqrt(sum(float((g**2).sum()) for _, g in present))
@@ -89,7 +96,7 @@ def reference_adam(arrays, moments, grads, t, lr, grad_clip=None,
             present = [(name, g * (grad_clip / total)) for name, g in present]
     bc1, bc2 = 1.0 - beta1**t, 1.0 - beta2**t
     for name, g in present:
-        m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
+        m, v = moments[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -97,15 +104,21 @@ def reference_adam(arrays, moments, grads, t, lr, grad_clip=None,
         arrays[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
+def moments_by_name(state, named):
+    """{name: (m, v)} of each parameter of `named`, cut from the state's
+    flat moments."""
+    offsets = np.cumsum([0] + [p.data.size for _, p in named])
+    return {name: (state.m[lo:hi].reshape(p.data.shape), state.v[lo:hi].reshape(p.data.shape))
+            for (name, p), lo, hi in zip(named, offsets, offsets[1:])}
+
+
 @pytest.mark.parametrize("grad_clip", [None, 0.05])
 def test_flat_adam_equals_the_per_parameter_update(small_split, grad_clip):
     model = fresh_model(small_split)
     named = model.parameters()
-    dense = [p for name, p in named if not name.startswith("pool.")]
-    buffer = dense[0].data.base
-    assert buffer is not None and all(p.data.base is buffer for p in dense)  # one flat buffer
     arrays = {name: p.data.copy() for name, p in named}
-    moments, state = {}, AdamState()
+    moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named}
+    state = AdamState()
     idle = {"pool.P.1", "pool.P.3", "pool.k.1"}  # no gradient in any step
     r = np.random.default_rng(21)
     for t in range(1, 6):
@@ -116,25 +129,45 @@ def test_flat_adam_equals_the_per_parameter_update(small_split, grad_clip):
             grads[name] = (r.normal(0.0, 0.01, p.data.shape).astype(np.float32)
                            if got else None)
             p.grad = grads[name]
-        adam_step(named, state, lr=1e-2, grad_clip=grad_clip)
+        adam_step(model.flat, named, state, lr=1e-2, grad_clip=grad_clip)
         reference_adam(arrays, moments, grads, t, lr=1e-2, grad_clip=grad_clip)
-        assert sorted(state.moments) == sorted(moments)
+        got_moments = moments_by_name(state, named)
         for name, p in named:
             assert np.array_equal(p.data, arrays[name]), (t, name)
-            if name in moments:
-                for got, want in zip(state.moments[name], moments[name]):
-                    assert got.dtype == np.float32 and np.array_equal(got, want), (t, name)
+            for got, want in zip(got_moments[name], moments[name]):
+                assert got.dtype == np.float32 and np.array_equal(got, want), (t, name)
     initial = fresh_model(small_split).snapshot_params()
     for name in idle:
-        assert np.array_equal(arrays[name], initial[name]) and name not in state.moments
+        assert np.array_equal(arrays[name], initial[name])
+        assert not any(a.any() for a in got_moments[name])
 
 
-def test_flat_adam_needs_every_gradient_of_its_group(small_split):
+def test_every_parameter_is_a_view_of_the_flat_buffer(small_split, tmp_path):
+    def check(model, dtype):
+        assert model.flat.ndim == 1 and model.flat.dtype == dtype
+        start, offset = model.flat.__array_interface__["data"][0], 0
+        for name, p in model.parameters():
+            assert p.data.base is model.flat and p.data.flags.c_contiguous, name
+            assert p.data.__array_interface__["data"][0] == start + offset * dtype().itemsize
+            offset += p.data.size
+        assert offset == model.flat.size
+
     model = fresh_model(small_split)
-    for name, p in model.parameters():
-        p.grad = None if name == "cls.b" else np.ones_like(p.data)
-    with pytest.raises(ValueError, match="cls.b has no gradient"):
-        adam_step(model.parameters(), AdamState(), lr=1e-3)
+    check(model, np.float32)
+    arrays = model.snapshot_params()
+    for dtype in (np.float32, np.float64):
+        model.load_params({n: a.astype(dtype) for n, a in arrays.items()})
+        check(model, dtype)
+        check(model.copy(), dtype)
+        trainer.save_checkpoint(model, AdamState(), tmp_path / "m.ckpt")
+        check(trainer.load_checkpoint(tmp_path / "m.ckpt", model.vocab)[0], dtype)
+    named = model.parameters()
+    for _, p in named:
+        p.grad = np.ones_like(p.data)
+    for params in (named[1:], named[:1] + named, [(n, nc.parameter(p.data.copy()))
+                                                  for n, p in named]):
+        with pytest.raises(ValueError, match="cover the flat buffer"):
+            adam_step(model.flat, params, AdamState(), lr=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +414,11 @@ def test_one_training_step_stays_float32(small_split, tmp_path, mode):
     nc.backward(loss)
     assert grad_dtypes == {np.dtype(np.float32)}
     state = AdamState()
-    adam_step(model.parameters(), state, lr=1e-3)
+    adam_step(model.flat, model.parameters(), state, lr=1e-3)
     touched = [p for _, p in model.parameters() if p.grad is not None]
     assert touched and all(p.grad.dtype == np.float32 for p in touched)
     assert all(p.data.dtype == np.float32 for _, p in model.parameters())
-    assert all(m.dtype == v.dtype == np.float32 for m, v in state.moments.values())
+    assert state.m.dtype == state.v.dtype == np.float32
     trainer.save_checkpoint(model, state, tmp_path / "m.ckpt")
     arrays, _ = ckpt.load_arrays(tmp_path / "m.ckpt")
     assert any(name.startswith("adam.") for name in arrays)
@@ -406,11 +439,33 @@ def test_float64_checkpoint_round_trip_keeps_float64(small_split, tmp_path):
     assert {a.dtype.str for a in ckpt.load_arrays(path)[0].values()} == {"<f8"}
     loaded, loaded_state, _ = trainer.load_checkpoint(path, model.vocab)
     assert all(p.data.dtype == np.float64 for _, p in loaded.parameters())
-    assert all(m.dtype == np.float64 for m, _ in loaded_state.moments.values())
+    assert loaded_state.m.dtype == loaded_state.v.dtype == np.float64
     for s in small_split.test:
         logits = loaded.predict(s).logits
         assert logits.dtype == np.float64
         assert np.array_equal(logits, model.predict(s).logits)
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda arrays: arrays.update({"adam.m.cls.b": np.zeros(3, np.float32)}),
+     r"adam.m.cls.b: expected \(2,\), found \(3,\)"),
+    (lambda arrays: arrays.update({"adam.v.cls.x": np.zeros(2, np.float32)}),
+     "unexpected arrays: adam.v.cls.x"),
+], ids=["misshaped", "unknown"])
+def test_load_checkpoint_rejects_moments_that_fit_no_parameter(small_split, tmp_path, edit,
+                                                              found):
+    model = fresh_model(small_split)
+    for _, p in model.parameters():
+        p.grad = np.ones_like(p.data)
+    state = AdamState()
+    adam_step(model.flat, model.parameters(), state, lr=1e-3)
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(model, state, path)
+    arrays, meta = ckpt.load_arrays(path)
+    edit(arrays)
+    ckpt.save_arrays(path, arrays, meta)
+    with pytest.raises(CheckpointError, match=found):
+        trainer.load_checkpoint(path, model.vocab)
 
 
 @pytest.mark.parametrize("edit, found", [
