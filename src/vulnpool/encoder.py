@@ -10,7 +10,8 @@ every row-wise layer runs once over all rows, and the fused attention op
 keeps each sequence to itself. A caller that reads only the first rows of
 each sequence asks `encode` for them: the last layer then runs its queries
 and everything after attention on those rows alone, while every row stays a
-key and a value.
+key and a value, attended to through the key and value projections folded
+into those few queries and outputs.
 """
 
 from __future__ import annotations
@@ -144,25 +145,28 @@ class Encoder:
         output is the first `keep` rows of each sequence, sequence after
         sequence: (len(segments) * keep, d). Every row is a key and a value
         in every layer, but the last layer runs its queries, attention
-        output, FFN and final norm on the kept rows only; a kept row comes
-        out as in the full stack, up to rounding."""
+        output, FFN and final norm on the kept rows only, and attends through
+        `folded_attention`, which never projects K or V over every row; a
+        kept row comes out as in the full stack, up to rounding."""
         spans = self._segments(segments, x.shape[0])
         if keep is not None and not 1 <= keep <= min(hi - lo for lo, hi in spans):
             raise ValueError(f"keep {keep} must lie in [1, shortest sequence] for {spans}")
         drop = self.config.dropout_rate if train_mode else 0.0
-        q_spans = None  # the queries are the key rows, until the last layer with `keep`
         for layer in range(self.config.n_layers):
             p = f"enc.{layer}."
             normed = nc.layer_norm(x, self.params[p + "ln1.g"], self.params[p + "ln1.b"])
-            k = self._linear(normed, p + "attn.wk", p + "attn.bk")
-            v = self._linear(normed, p + "attn.wv", p + "attn.bv")
             if keep is not None and layer == self.config.n_layers - 1:
                 rows = (np.array([lo for lo, _ in spans])[:, None] + np.arange(keep)).ravel()
                 x = nc.gather_rows(x, rows, unique=True)
-                normed = nc.gather_rows(normed, rows, unique=True)
-                q_spans = [(i * keep, (i + 1) * keep) for i in range(len(spans))]
-            q = self._linear(normed, p + "attn.wq", p + "attn.bq")
-            merged = nc.attention(q, k, v, spans, self.config.n_heads, q_spans)
+                q = self._linear(nc.gather_rows(normed, rows, unique=True),
+                                 p + "attn.wq", p + "attn.bq")
+                kv = [self.params[p + "attn." + name] for name in ("wk", "bk", "wv", "bv")]
+                merged = nc.folded_attention(q, normed, *kv, spans, self.config.n_heads)
+            else:
+                q = self._linear(normed, p + "attn.wq", p + "attn.bq")
+                k = self._linear(normed, p + "attn.wk", p + "attn.bk")
+                v = self._linear(normed, p + "attn.wv", p + "attn.bv")
+                merged = nc.attention(q, k, v, spans, self.config.n_heads)
             attn_out = self._linear(merged, p + "attn.wo", p + "attn.bo")
             if drop > 0.0:
                 attn_out = nc.dropout(attn_out, drop, rng)

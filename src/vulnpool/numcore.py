@@ -253,9 +253,10 @@ _LN_EPS = 1e-5  # added to each row's variance
 def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Row-wise layer normalization with affine parameters gamma/beta.
 
-    Keeps the normalized rows and each row's 1/std for backward; the
-    variance and the backward's products are einsum reductions, with no
-    squared temporary.
+    Keeps the normalized rows and each row's 1/std for backward. Every
+    per-row reduction (the mean, the variance and the backward's row sums)
+    is an einsum: it reduces each row on its own, with no squared temporary,
+    and several times faster than `sum(axis=1)` on narrow rows.
     """
     if a.data.ndim != 2:
         raise ShapeError(f"layer_norm: expected 2-D input, got {a.shape}")
@@ -265,7 +266,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match width {d}"
         )
     # sum / d is what ndarray.mean computes, without its Python-level wrapper
-    xhat = a.data - a.data.sum(axis=1, keepdims=True) / d
+    xhat = a.data - np.einsum("ij->i", a.data)[:, None] / d
     var = np.einsum("ij,ij->i", xhat, xhat) / d
     inv_std = 1.0 / np.sqrt(var + _LN_EPS)[:, None]
     xhat *= inv_std
@@ -276,7 +277,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dxhat = g * gamma.data
         # standard layer-norm backward: project out mean and xhat components
         dx = xhat * (np.einsum("ij,ij->i", dxhat, xhat)[:, None] / d)
-        dx += dxhat.sum(axis=1, keepdims=True) / d
+        dx += np.einsum("ij->i", dxhat)[:, None] / d
         np.subtract(dxhat, dx, out=dx)
         dx *= inv_std
         return dx, np.einsum("ij,ij->j", g, xhat), g.sum(axis=0)
@@ -371,73 +372,153 @@ def segment_mean(a: Tensor, segments) -> Tensor:
     return _make(data, (a,), bw_ragged)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int,
-              q_segments=None) -> Tensor:
+def _heads(x: np.ndarray, n_heads: int) -> np.ndarray:
+    """(rows, d) -> (H, rows, d / H), a view: each head is a column block."""
+    return x.reshape(x.shape[0], n_heads, -1).transpose(1, 0, 2)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, segments, n_heads: int) -> Tensor:
     """Multi-head scaled dot-product attention within row segments.
 
-    `k` and `v` are (n, d) with the heads side by side in the columns, and
-    `segments` their (start, stop) row ranges. `q` is (m, d): the query rows
-    of segment i are `q_segments[i]` and attend only to the key rows
-    `segments[i]`. Without `q_segments` the queries are the key rows, m = n.
-    The output is (m, d), heads merged. Besides its inputs it keeps the
-    softmax probabilities, one (n_heads, queries, keys) array per segment,
-    for backward. The backward uses rowsum(dP * P) = rowsum(dO * O)
-    (FlashAttention, Dao et al. 2022): one (n_heads, m) array in place of a
-    per-segment (n_heads, queries, keys) product. So backward also reads the
-    output array, which no later op may change in place. It scatters dq into
-    the query rows and dk, dv into the key rows; rows outside every segment
-    get zero gradient.
+    `q`, `k` and `v` are (n, d) with the heads side by side in the columns,
+    and `segments` their (start, stop) row ranges: the rows of a segment
+    attend only to each other. The output is (n, d), heads merged. Besides
+    its inputs it keeps the softmax probabilities, one (n_heads, rows, rows)
+    array per segment, for backward. The backward uses rowsum(dP * P) =
+    rowsum(dO * O) (FlashAttention, Dao et al. 2022): one (n_heads, n) array
+    in place of a per-segment (n_heads, rows, rows) product. So backward also
+    reads the output array, which no later op may change in place. Rows
+    outside every segment get zero gradient.
     """
-    if (q.data.ndim != 2 or k.data.ndim != 2 or k.shape[1] != q.shape[1]
-            or v.shape != k.shape):
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"attention: incompatible shapes {q.shape}, {k.shape}, {v.shape}")
-    m, d = q.shape
-    n = k.shape[0]
+    n, d = q.shape
     if n_heads < 1 or d % n_heads:
         raise ShapeError(f"attention: width {d} not divisible into {n_heads} heads")
     spans = _segments(segments, n, "attention")
-    q_spans = spans if q_segments is None else _segments(q_segments, m, "attention")
-    if len(q_spans) != len(spans):
-        raise ShapeError(f"attention: {len(q_spans)} query segments for {len(spans)} key segments")
-    pairs = list(zip(q_spans, spans))
-    dh = d // n_heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
+    inv_sqrt = 1.0 / math.sqrt(d // n_heads)
 
-    def heads(x):  # (rows, d) -> (H, rows, dh), a view: each head is a column block
-        return x.reshape(x.shape[0], n_heads, dh).transpose(1, 0, 2)
+    def heads(x):
+        return _heads(x, n_heads)
 
     qh = heads(q.data * inv_sqrt)
     kh, vh = heads(k.data), heads(v.data)
-    out = np.zeros((m, d), dtype=q.data.dtype)  # C order: heads() must be a view
+    out = np.zeros((n, d), dtype=q.data.dtype)  # C order: heads() must be a view
     out_h = heads(out)
     probs = []
-    for (qlo, qhi), (lo, hi) in pairs:
-        p = qh[:, qlo:qhi] @ kh[:, lo:hi].transpose(0, 2, 1)
+    for lo, hi in spans:
+        p = qh[:, lo:hi] @ kh[:, lo:hi].transpose(0, 2, 1)
         p -= p.max(axis=2, keepdims=True)
         np.exp(p, out=p)
         p *= 1.0 / p.sum(axis=2, keepdims=True)
-        np.matmul(p, vh[:, lo:hi], out=out_h[:, qlo:qhi])
+        np.matmul(p, vh[:, lo:hi], out=out_h[:, lo:hi])
         probs.append(p)
 
     def bw(g):
         gh = heads(np.ascontiguousarray(g))
         rowsum = np.einsum("hnd,hnd->hn", gh, out_h)[:, :, None]  # rowsum(dP * P)
         qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)  # q unscaled: see below
-        dq = np.zeros((m, d), dtype=out.dtype)
-        dk, dv = (np.zeros((n, d), dtype=out.dtype) for _ in range(2))
+        dq, dk, dv = (np.zeros((n, d), dtype=out.dtype) for _ in range(3))
         dqh, dkh, dvh = heads(dq), heads(dk), heads(dv)
-        for ((qlo, qhi), (lo, hi)), p in zip(pairs, probs):
-            np.matmul(p.transpose(0, 2, 1), gh[:, qlo:qhi], out=dvh[:, lo:hi])
-            ds = gh[:, qlo:qhi] @ vh[:, lo:hi].transpose(0, 2, 1)
-            ds -= rowsum[:, qlo:qhi]
+        for (lo, hi), p in zip(spans, probs):
+            np.matmul(p.transpose(0, 2, 1), gh[:, lo:hi], out=dvh[:, lo:hi])
+            ds = gh[:, lo:hi] @ vh[:, lo:hi].transpose(0, 2, 1)
+            ds -= rowsum[:, lo:hi]
             ds *= p
-            np.matmul(ds, kh[:, lo:hi], out=dqh[:, qlo:qhi])
-            np.matmul(ds.transpose(0, 2, 1), qh[:, qlo:qhi], out=dkh[:, lo:hi])
+            np.matmul(ds, kh[:, lo:hi], out=dqh[:, lo:hi])
+            np.matmul(ds.transpose(0, 2, 1), qh[:, lo:hi], out=dkh[:, lo:hi])
         dq *= inv_sqrt  # the 1/sqrt(dh) of the scores, applied once
         dk *= inv_sqrt
         return dq, dk, dv
 
     return _make(out, (q, k, v), bw)
+
+
+def folded_attention(q: Tensor, x: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+                     segments, n_heads: int) -> Tensor:
+    """Multi-head attention of query rows over the rows `x` of their own
+    segments, with keys `x wk + bk` and values `x wv + bv`, neither of which
+    is ever formed.
+
+    `x` is (n, d) and `segments` its (start, stop) row ranges; `q` is (m, d),
+    m / len(segments) query rows per segment, segment after segment, with
+    the heads side by side in the columns. The output is (m, d), heads
+    merged: up to rounding, `attention` over K = x wk + bk and V = x wv + bv
+    read at the query rows. Per head h, the key projection folds into the
+    queries, q~_h = q_h wk_h^T / sqrt(dh) (as multi-head latent attention
+    folds its key up-projection, DeepSeek-V2), so the scores are
+    q~_h x_seg^T; the value projection folds into the output,
+    (P_h x_seg) wv_h + bv_h, which is exact because each row of P_h sums to
+    1. The projections cost two products over the m query rows instead of
+    two over all n rows. `bk` adds the same q_h bk_h / sqrt(dh) to every
+    score of a row, which the softmax removes: its gradient is all zeros,
+    returned explicitly so that `bk` stays a trained parameter like any
+    other. Keeps q~, P_h x_seg and each segment's probabilities for backward.
+    """
+    d = x.shape[1] if x.data.ndim == 2 else 0
+    if q.data.ndim != 2 or not d or (q.shape[1], wk.shape, bk.shape, wv.shape, bv.shape) != (
+            d, (d, d), (d,), (d, d), (d,)):
+        raise ShapeError(f"folded_attention: incompatible shapes q {q.shape}, x {x.shape}, "
+                         f"wk {wk.shape}, bk {bk.shape}, wv {wv.shape}, bv {bv.shape}")
+    if n_heads < 1 or d % n_heads:
+        raise ShapeError(f"folded_attention: width {d} not divisible into {n_heads} heads")
+    spans = _segments(segments, x.shape[0], "folded_attention")
+    m, count = q.shape[0], len(spans)
+    if m % count:
+        raise ShapeError(f"folded_attention: {m} query rows for {count} segments")
+    inv_sqrt = 1.0 / math.sqrt(d // n_heads)
+
+    def heads(a):
+        return _heads(a, n_heads)
+
+    def blocks(a):  # (m, H, d) -> (segments, queries * H, d), a view: one block a segment
+        return a.reshape(count, -1, d)
+
+    wkh, wvh = heads(wk.data), heads(wv.data)  # (H, d, dh): head h's columns
+    qt = np.empty((m, n_heads, d), dtype=q.data.dtype)
+    np.matmul(heads(q.data * inv_sqrt), wkh.transpose(0, 2, 1), out=qt.transpose(1, 0, 2))
+    u = np.empty_like(qt)
+    probs = []
+    for (lo, hi), qs, us in zip(spans, blocks(qt), blocks(u)):
+        xs = x.data[lo:hi]
+        p = qs @ xs.T
+        p -= p.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p *= 1.0 / p.sum(axis=1, keepdims=True)
+        np.matmul(p, xs, out=us)
+        probs.append(p)
+    out = np.empty((m, d), dtype=qt.dtype)
+    np.matmul(u.transpose(1, 0, 2), wvh, out=heads(out))
+    out += bv.data
+
+    def bw(g):
+        gh = heads(np.ascontiguousarray(g))
+        dwv = np.empty_like(wv.data)
+        np.matmul(u.transpose(1, 2, 0), gh, out=heads(dwv))
+        du = np.empty_like(u)
+        np.matmul(gh, wvh.transpose(0, 2, 1), out=du.transpose(1, 0, 2))
+        rowsum = np.einsum("mhd,mhd->mh", du, u).reshape(count, -1, 1)  # rowsum(dP * P)
+        dqt = np.empty_like(qt)
+        dx = np.zeros_like(x.data)
+        for (lo, hi), p, dus, qs, dqs, rs in zip(spans, probs, blocks(du), blocks(qt),
+                                                 blocks(dqt), rowsum):
+            xs = x.data[lo:hi]
+            ds = dus @ xs.T
+            ds -= rs
+            ds *= p
+            np.matmul(ds, xs, out=dqs)
+            np.matmul(p.T, dus, out=dx[lo:hi])
+            dx[lo:hi] += ds.T @ qs
+        dqh = dqt.transpose(1, 0, 2)
+        dq = np.empty_like(q.data)
+        np.matmul(dqh, wkh, out=heads(dq))
+        dq *= inv_sqrt  # the 1/sqrt(dh) of the queries, applied once
+        dwk = np.empty_like(wk.data)
+        np.matmul(dqh.transpose(0, 2, 1), heads(q.data), out=heads(dwk))
+        dwk *= inv_sqrt
+        return dq, dx, dwk, np.zeros_like(bk.data), dwv, g.sum(axis=0)
+
+    return _make(out, (q, x, wk, bk, wv, bv), bw)
 
 
 def gather_rows(table: Tensor, ids, unique: bool = False) -> Tensor:

@@ -57,7 +57,20 @@ def test_calibration_is_timed_before_each_run_and_summarised(tmp_path, monkeypat
         == [(0.5, 0.25), (1.0, 0.75)]
     assert w["calibration_s"]["parent"] == {"median": 0.75, "q1": 0.625, "q3": 0.875}
     assert w["metrics"]["rate"]["ratio"] == 2.0 and w["failed_operations"]["change"] == 0
-    assert "| w | calibration_s | 0.75 [0.625, 0.875] |" in capsys.readouterr().out
+    assert [r["calibration_ratio"] for r in w["runs"]] == [0.5, 0.75]
+    assert w["calibration_drift"] == {"ratio": {"median": 0.625, "q1": 0.5625, "q3": 0.6875},
+                                      "drifted": 2, "pairs": 2}
+    out = capsys.readouterr().out
+    assert "| w | calibration_s | 0.75 [0.625, 0.875] |" in out
+    assert "| w | calibration change/parent | | | 0.625 [0.5625, 0.6875] | 2/2 differ > 15% |" \
+        in out
+
+
+def test_calibration_drift_counts_pairs_apart_by_more_than_15_percent():
+    runs = [{"calibration_ratio": x} for x in (1.0, 1.14, 1.16, 0.88, 0.86, 1 / 1.15)]
+    drift = bench_pairs.calibration_drift(runs)
+    assert drift["drifted"] == 2 and drift["pairs"] == 6  # 1.16 and 0.86; 0.88 is within
+    assert drift["ratio"]["median"] == 0.94
 
 
 def test_calibrate_takes_measurable_time():

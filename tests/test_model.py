@@ -337,3 +337,31 @@ def test_forward_reads_the_rows_of_the_full_encoder(small_corpus, mode, prompt_l
         pooled = nc.segment_mean(h, [(lo, lo + prompt_len) for lo, _ in adapted.segments])
     expected = model._classify(pooled).data
     assert np.abs(out.logits.data - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("mode, top_k", [("pool_masked", 1), ("pool_query", 2),
+                                         ("backbone_only", 1)])
+def test_last_layer_linears_see_only_the_kept_rows(small_corpus, monkeypatch, mode, top_k,
+                                                   n_layers):
+    # the last layer projects neither K nor V over every row: none of its
+    # linears sees more than the kept rows of the batch
+    model = build_tiny_model(small_corpus, mode=mode, top_k=top_k, n_layers=n_layers)
+    names = {id(t): name for name, t in model.parameters()}
+    seen = []
+    linear = nc.linear
+
+    def recording(x, w, b):
+        seen.append((names[id(w)], x.shape[0]))
+        return linear(x, w, b)
+
+    monkeypatch.setattr(nc, "linear", recording)
+    model.forward(small_corpus, train_mode=True)
+    kept = len(small_corpus) * max(2, model._prompt_rows())
+    rows = sum(len(ids) for ids in model.tokenize(small_corpus)) + (
+        len(small_corpus) * model._prompt_rows())
+    last = f"enc.{n_layers - 1}."
+    assert {name for name, _ in seen if name.startswith(last)} == {
+        last + w for w in ("attn.wq", "attn.wo", "ffn.w1", "ffn.w2")}
+    for name, n in seen:
+        assert n <= kept if name.startswith(last) else n == rows, (name, n, kept)

@@ -77,21 +77,61 @@ def test_attention_keeps_segments_apart():
     assert np.allclose(packed[0], v[0], atol=1e-14)
 
 
+def folded_inputs(r, segments, queries, d, dtype=np.float64):
+    """Random inputs of `folded_attention`: `queries` query rows per segment
+    of (n, d) rows, and the four projection parameters."""
+    n = segments[-1][1]
+    x = r.normal(size=(n, d))
+    q = r.normal(size=(queries * len(segments), d))
+    wk, wv = r.normal(size=(d, d)), r.normal(size=(d, d))
+    bk, bv = r.normal(size=d), r.normal(size=d)
+    return [nc.parameter(a.astype(dtype)) for a in (q, x, wk, bk, wv, bv)]
+
+
 def test_attention_query_spans_give_the_rows_of_full_attention():
-    # queries that are a subset of each segment's rows attend as in full attention
+    # a few query rows per segment, attending through folded key and value
+    # projections, give the rows of full attention over explicit K and V
     r = rng(6)
-    q, k, v = (r.normal(size=(9, 4)) for _ in range(3))
-    segments = [(0, 2), (2, 5), (5, 9)]
-    full = nc.attention(nc.tensor(q), nc.tensor(k), nc.tensor(v), segments, 2).data
-    picked = [0, 1, 2, 5, 6, 7]
-    q_segments = [(0, 2), (2, 3), (3, 6)]
-    part = nc.attention(nc.tensor(q[picked]), nc.tensor(k), nc.tensor(v), segments, 2,
-                        q_segments).data
-    assert part.shape == (6, 4)
-    assert np.abs(part - full[picked]).max() < 1e-14
-    with pytest.raises(nc.ShapeError, match="2 query segments for 3 key segments"):
-        nc.attention(nc.tensor(q[:2]), nc.tensor(k), nc.tensor(v), segments, 2,
-                     [(0, 1), (1, 2)])
+    segments = [(0, 2), (2, 5), (5, 9), (9, 40)]
+    for heads, d, queries in [(1, 4, 2), (2, 4, 2), (2, 8, 1), (4, 16, 2)]:
+        q, x, wk, bk, wv, bv = folded_inputs(r, segments, queries, d)
+        rows = [lo + j for lo, _ in segments for j in range(queries)]
+        q_full = r.normal(size=x.shape)
+        q_full[rows] = q.data
+        full = nc.attention(nc.tensor(q_full), nc.tensor(x.data @ wk.data + bk.data),
+                            nc.tensor(x.data @ wv.data + bv.data), segments, heads).data
+        part = nc.folded_attention(q, x, wk, bk, wv, bv, segments, heads).data
+        assert part.shape == (len(rows), d)
+        assert np.abs(part - full[rows]).max() < 1e-12, (heads, d, queries)
+    with pytest.raises(nc.ShapeError, match="5 query rows for 4 segments"):
+        nc.folded_attention(nc.tensor(q.data[:5]), x, wk, bk, wv, bv, segments, 4)
+
+
+def test_folded_attention_gives_bk_an_all_zero_gradient():
+    # bk shifts each row of scores by a constant, which the softmax removes
+    q, x, wk, bk, wv, bv = folded_inputs(rng(7), [(0, 3), (3, 8)], 2, 4)
+    nc.backward(scalarize(nc.folded_attention(q, x, wk, bk, wv, bv, [(0, 3), (3, 8)], 2)))
+    assert bk.grad is not None and bk.grad.dtype == bk.data.dtype
+    assert not bk.grad.any() and all(t.grad.any() for t in (q, x, wk, wv, bv))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_attention_rows_do_not_depend_on_the_batch(dtype):
+    # a segment's output rows are bit-equal alone and packed with others of
+    # any length, for two or more query rows a segment
+    r = rng(8)
+    lengths = [2, 7, 3, 60, 5, 2, 33]
+    starts = np.cumsum([0] + lengths)
+    segments = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    for heads, d, queries in [(2, 32, 2), (2, 32, 5), (4, 64, 2)]:
+        q, x, wk, bk, wv, bv = folded_inputs(r, segments, queries, d, dtype)
+        packed = nc.folded_attention(q, x, wk, bk, wv, bv, segments, heads).data
+        assert packed.dtype == dtype
+        for i, (lo, hi) in enumerate(segments):
+            alone = nc.folded_attention(nc.tensor(q.data[i * queries:(i + 1) * queries]),
+                                        nc.tensor(x.data[lo:hi]), wk, bk, wv, bv,
+                                        [(0, hi - lo)], heads).data
+            assert np.array_equal(alone, packed[i * queries:(i + 1) * queries]), (d, i)
 
 
 def attention_backward_reference(q, k, v, g, n_heads):
@@ -151,6 +191,20 @@ def test_batched_rows_match_one_at_a_time():
             nc.cross_entropy_logits(nc.tensor(logits[i]), labels[i]).item(), abs=1e-14)
         assert cos[i] == pytest.approx(
             nc.cosine_similarity(nc.tensor(a[i]), nc.tensor(b[i])).item(), abs=1e-14)
+    # layer norm reduces each row on its own: a row alone is bit-equal to the
+    # same row in a batch, forward and backward
+    for dtype in (np.float32, np.float64):
+        for d in (32, 64, 128):
+            x = (r.normal(size=(300, d)) * 3 + 1).astype(dtype)
+            g = r.normal(size=(300, d)).astype(dtype)
+            gamma, beta = (nc.tensor(r.normal(size=d).astype(dtype)) for _ in range(2))
+            batch = nc.layer_norm(nc.parameter(x), gamma, beta)
+            dx = batch._backward(g)[0]
+            assert batch.data.dtype == dx.dtype == dtype
+            for i in (0, 1, 7, 150, 299):
+                row = nc.layer_norm(nc.parameter(x[i:i + 1]), gamma, beta)
+                assert np.array_equal(row.data, batch.data[i:i + 1]), (dtype, d, i)
+                assert np.array_equal(row._backward(g[i:i + 1])[0], dx[i:i + 1]), (dtype, d, i)
 
 
 def check_matmul_rowwise_row_invariance(width, cols, dtype, rtol, atol):
@@ -395,7 +449,8 @@ def test_grad_check_cross_entropy_r2():
      "cosine_a", "cosine_b", "cosine_rows_a", "cosine_rows_b",
      "segment_mean", "segment_mean_blocks", "cross_entropy_rows",
      "attention_q", "attention_k", "attention_v",
-     "attention_short_q", "attention_short_q_k", "attention_short_q_v"],
+     "folded_attention_q", "folded_attention_x", "folded_attention_wk",
+     "folded_attention_wv", "folded_attention_bv"],
 )
 def test_grad_check_each_op(name):
     r = rng(sum(ord(c) for c in name))  # stable across processes
@@ -417,13 +472,13 @@ def test_grad_check_each_op(name):
         args = [x if i == slot else t for i, t in enumerate(qkv)]
         return scalarize(nc.attention(*args, segments, 2))
 
-    # query spans shorter than their key spans: 1, 2 and 1 of 1, 3 and 2 rows
-    q_short = nc.tensor(r.normal(size=(4, 4)))
-    q_segments = [(0, 1), (1, 3), (3, 4)]
+    # two query rows for each of the segments of 1, 3 and 2 rows
+    folded = [nc.tensor(a) for a in (r.normal(size=(6, 4)), r.normal(size=(4, 4)),
+                                     r.normal(size=4), r.normal(size=(4, 4)), r.normal(size=4))]
 
-    def attend_short(x, slot):
-        args = [x if i == slot else t for i, t in enumerate([q_short] + qkv[1:])]
-        return scalarize(nc.attention(*args, segments, 2, q_segments))
+    def attend_folded(x, slot):
+        args = [x if i == slot else t for i, t in enumerate([folded[0], qkv[0]] + folded[1:])]
+        return scalarize(nc.folded_attention(*args, segments, 2))
 
     cases = {
         "linear_x": ((4, 5), lambda x: scalarize(nc.linear(x, mat53, vec3))),
@@ -463,9 +518,11 @@ def test_grad_check_each_op(name):
         "attention_q": ((6, 4), lambda x: attend(x, 0)),
         "attention_k": ((6, 4), lambda x: attend(x, 1)),
         "attention_v": ((6, 4), lambda x: attend(x, 2)),
-        "attention_short_q": ((4, 4), lambda x: attend_short(x, 0)),
-        "attention_short_q_k": ((6, 4), lambda x: attend_short(x, 1)),
-        "attention_short_q_v": ((6, 4), lambda x: attend_short(x, 2)),
+        "folded_attention_q": ((6, 4), lambda x: attend_folded(x, 0)),
+        "folded_attention_x": ((6, 4), lambda x: attend_folded(x, 1)),
+        "folded_attention_wk": ((4, 4), lambda x: attend_folded(x, 2)),
+        "folded_attention_wv": ((4, 4), lambda x: attend_folded(x, 4)),
+        "folded_attention_bv": ((4,), lambda x: attend_folded(x, 5)),
     }
     shape, f = cases[name]
     _check(f, nc.parameter(r.normal(size=shape)))

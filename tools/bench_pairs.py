@@ -14,7 +14,11 @@ raw value of every run is kept under `runs`. Before each run a fixed
 calibration loop (pure Python plus one small numpy product) is timed and kept
 beside the run as `calibration_s` (the fastest of 5 passes), with its
 quartiles per side in the summary: it measures the host's speed at that moment, so runs in different
-files, or on different hosts, can be set side by side. The file is rewritten
+files, or on different hosts, can be set side by side. Each pair also keeps
+its `calibration_ratio`, change over parent, and the summary gives that
+ratio's quartiles and the pairs whose two sides' calibrations differ by more
+than 15 %: the host drifted between the two runs of such a pair, and their
+metrics compare a faster host with a slower one. The file is rewritten
 after every pair, so a stopped sweep keeps what it measured. A markdown table
 of the result goes to standard output.
 """
@@ -36,6 +40,7 @@ SIDES = ("parent", "change")
 BENCH_COMMAND = "python3 perfbench/run.py --workload <workload> --seed <seed> --trace 0"
 TIER1_COMMAND = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
 CALIBRATION_PASSES = 5
+DRIFT = 1.15  # a pair whose sides' calibrations differ by more than this factor drifted
 
 
 def seed_range(text: str) -> tuple[str, list[int]]:
@@ -122,6 +127,15 @@ def summarise(runs: list[dict], declared: list[dict]) -> dict:
     return out
 
 
+def calibration_drift(runs: list[dict]) -> dict:
+    """Quartiles of the pairs' change/parent calibration ratios, and how many
+    pairs differ by more than DRIFT either way."""
+    ratios = [r["calibration_ratio"] for r in runs]
+    return {"ratio": quartiles(ratios),
+            "drifted": sum(max(x, 1.0 / x) > DRIFT for x in ratios),
+            "pairs": len(ratios)}
+
+
 def table(workloads: dict) -> str:
     rows = ["| workload | metric | parent | change | ratio | change better in |",
             "|---|---|---|---|---|---|"]
@@ -134,6 +148,11 @@ def table(workloads: dict) -> str:
         p, c = w["calibration_s"]["parent"], w["calibration_s"]["change"]
         rows.append(f"| {workload} | calibration_s | {p['median']:.4g} [{p['q1']:.4g}, "
                     f"{p['q3']:.4g}] | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | | |")
+        drift = w["calibration_drift"]
+        r = drift["ratio"]
+        rows.append(f"| {workload} | calibration change/parent | | | {r['median']:.4g} "
+                    f"[{r['q1']:.4g}, {r['q3']:.4g}] | {drift['drifted']}/{drift['pairs']} "
+                    f"differ > {DRIFT - 1:.0%} |")
         failed = w["failed_operations"]
         rows.append(f"| {workload} | failed operations | {failed['parent']} | {failed['change']}"
                     " | | |")
@@ -203,6 +222,8 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed} {side}: {time.perf_counter() - t0:.0f} s, "
                       f"{pair[side].get('error') or pair[side]['metrics']}",
                       file=sys.stderr, flush=True)
+            pair["calibration_ratio"] = sig(pair["change"]["calibration_s"]
+                                            / pair["parent"]["calibration_s"])
             runs.append(pair)
             report["workloads"][workload] = {
                 "seeds": [r["seed"] for r in runs],
@@ -211,6 +232,7 @@ def main(argv=None) -> int:
                 "metrics": summarise(runs, declared),
                 "calibration_s": {side: quartiles([r[side]["calibration_s"] for r in runs])
                                   for side in SIDES},
+                "calibration_drift": calibration_drift(runs),
                 "runs": runs,
             }
             tmp = out_path.with_suffix(".tmp")
