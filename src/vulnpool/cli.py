@@ -223,6 +223,13 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
+_EPOCH_FIELDS = ("epoch", "train_loss", "val_recall", "val_precision", "val_f1")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def cmd_report(args) -> int:
     cfg = _run_config(args)
     run_dir = cfg.resolve_path(args.run)
@@ -237,6 +244,11 @@ def cmd_report(args) -> int:
                     raise CorpusError(
                         f"{history_path}: line {lineno}: malformed record: {exc.msg}"
                     ) from None
+                fields = rec if isinstance(rec, dict) else {}
+                missing = [key for key in _EPOCH_FIELDS if not _is_number(fields.get(key))]
+                if missing:
+                    raise CorpusError(f"{history_path}: line {lineno}: not an epoch record: "
+                                      f"no number in {', '.join(missing)}")
                 rows.append([
                     rec["epoch"], f"{rec['train_loss']:.4f}", f"{100 * rec['val_recall']:.2f}%",
                     f"{100 * rec['val_precision']:.2f}%", f"{100 * rec['val_f1']:.2f}%",

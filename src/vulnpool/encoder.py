@@ -34,8 +34,9 @@ class EncoderConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        for name in ("n_layers", "n_heads", "d_model", "d_ffn"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"

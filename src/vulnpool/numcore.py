@@ -12,6 +12,7 @@ float64 throughout.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -453,7 +454,20 @@ def folded_attention(q: Tensor, x: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, b
     two over all n rows. `bk` adds the same q_h bk_h / sqrt(dh) to every
     score of a row, which the softmax removes: its gradient is all zeros,
     returned explicitly so that `bk` stays a trained parameter like any
-    other. Keeps q~, P_h x_seg and each segment's probabilities for backward.
+    other.
+
+    Every segment's scores q~_seg x_seg^T go into one flat buffer, a row per
+    (query, head) of a segment and a column per segment row, segment after
+    segment (rows outside every segment have no column), so that each
+    segment's softmax reduces along contiguous memory. The per-segment loops
+    run only the matrix products; each softmax step runs once over the whole
+    buffer, the per-segment maxima and sums taken by `ufunc.reduceat`. It
+    adds in an order of its own, not column order, but one fixed by the
+    segment's length, so a segment's rows come out bit-equal alone and
+    packed. Keeps q~, P_h x_seg and the flat probability buffer for backward,
+    whose loops also run only products: dP per segment, then
+    dS = P * (dP - rowsum) once over the buffer, then dq~ and dx per segment,
+    dx from P and dS side by side in one product.
     """
     d = x.shape[1] if x.data.ndim == 2 else 0
     if q.data.ndim != 2 or not d or (q.shape[1], wk.shape, bk.shape, wv.shape, bv.shape) != (
@@ -474,19 +488,31 @@ def folded_attention(q: Tensor, x: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, b
     def blocks(a):  # (m, H, d) -> (segments, queries * H, d), a view: one block a segment
         return a.reshape(count, -1, d)
 
-    wkh, wvh = heads(wk.data), heads(wv.data)  # (H, d, dh): head h's columns
+    width = m // count * n_heads  # a segment's (query, head) pairs: the buffer's rows
+    if count == 1:  # the buffer's columns are the segment's rows: nothing to offset
+        (lo, hi), = spans
+        lens, firsts, cols = [hi - lo], [0], [(x.data[lo:hi], slice(None))]
+    else:
+        lens = [hi - lo for lo, hi in spans]
+        firsts = list(itertools.accumulate(lens[:-1], initial=0))  # each segment's first column
+        # (a segment's rows of x, its columns of the buffer), one pair a segment
+        cols = [(x.data[lo:hi], slice(f, f + n)) for (lo, hi), f, n in zip(spans, firsts, lens)]
+
+    def spread(a):  # (width, segments) -> (width, buffer columns)
+        return a if count == 1 else a.repeat(lens, axis=1)
+
+    wkt, wvh = wk.data.T.reshape(n_heads, -1, d), heads(wv.data)  # (H, dh, d), (H, d, dh)
     qt = np.empty((m, n_heads, d), dtype=q.data.dtype)
-    np.matmul(heads(q.data * inv_sqrt), wkh.transpose(0, 2, 1), out=qt.transpose(1, 0, 2))
+    np.matmul(heads(q.data * inv_sqrt), wkt, out=qt.transpose(1, 0, 2))
+    p = np.empty((width, sum(lens)), dtype=qt.dtype)
+    for (xs, f), qs in zip(cols, blocks(qt)):
+        np.matmul(qs, xs.T, out=p[:, f])
+    p -= spread(np.maximum.reduceat(p, firsts, axis=1))
+    np.exp(p, out=p)
+    p /= spread(np.add.reduceat(p, firsts, axis=1))
     u = np.empty_like(qt)
-    probs = []
-    for (lo, hi), qs, us in zip(spans, blocks(qt), blocks(u)):
-        xs = x.data[lo:hi]
-        p = qs @ xs.T
-        p -= p.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p *= 1.0 / p.sum(axis=1, keepdims=True)
-        np.matmul(p, xs, out=us)
-        probs.append(p)
+    for (xs, f), us in zip(cols, blocks(u)):
+        np.matmul(p[:, f], xs, out=us)
     out = np.empty((m, d), dtype=qt.dtype)
     np.matmul(u.transpose(1, 0, 2), wvh, out=heads(out))
     out += bv.data
@@ -497,21 +523,24 @@ def folded_attention(q: Tensor, x: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, b
         np.matmul(u.transpose(1, 2, 0), gh, out=heads(dwv))
         du = np.empty_like(u)
         np.matmul(gh, wvh.transpose(0, 2, 1), out=du.transpose(1, 0, 2))
-        rowsum = np.einsum("mhd,mhd->mh", du, u).reshape(count, -1, 1)  # rowsum(dP * P)
+        rowsum = np.einsum("mhd,mhd->mh", du, u).reshape(count, width).T  # rowsum(dP * P)
+        pds = np.empty((2 * width, p.shape[1]), dtype=p.dtype)  # P above dS
+        pds[:width] = p
+        ds = pds[width:]
+        for (xs, f), dus in zip(cols, blocks(du)):
+            np.matmul(dus, xs.T, out=ds[:, f])
+        ds -= spread(rowsum)
+        ds *= p
+        # dx_seg = P_seg^T dU_seg + dS_seg^T q~_seg, one product over [dU; q~]_seg
+        duq = np.concatenate([blocks(du), blocks(qt)], axis=1)
         dqt = np.empty_like(qt)
         dx = np.zeros_like(x.data)
-        for (lo, hi), p, dus, qs, dqs, rs in zip(spans, probs, blocks(du), blocks(qt),
-                                                 blocks(dqt), rowsum):
-            xs = x.data[lo:hi]
-            ds = dus @ xs.T
-            ds -= rs
-            ds *= p
-            np.matmul(ds, xs, out=dqs)
-            np.matmul(p.T, dus, out=dx[lo:hi])
-            dx[lo:hi] += ds.T @ qs
+        for (lo, hi), (xs, f), dqs, duqs in zip(spans, cols, blocks(dqt), duq):
+            np.matmul(ds[:, f], xs, out=dqs)
+            np.matmul(pds[:, f].T, duqs, out=dx[lo:hi])
         dqh = dqt.transpose(1, 0, 2)
         dq = np.empty_like(q.data)
-        np.matmul(dqh, wkh, out=heads(dq))
+        np.matmul(dqh, wkt.transpose(0, 2, 1), out=heads(dq))
         dq *= inv_sqrt  # the 1/sqrt(dh) of the queries, applied once
         dwk = np.empty_like(wk.data)
         np.matmul(dqh.transpose(0, 2, 1), heads(q.data), out=heads(dwk))

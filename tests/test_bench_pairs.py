@@ -34,6 +34,46 @@ def test_summarise_counts_wins_by_direction_and_skips_failed_pairs():
     assert out["rate"]["ratio"] == 1.0
     assert out["rss"]["change_better_in"] == 4  # seed 0 ties at 10.0
     assert out["rss"]["change"]["median"] == 8.0
+    # rate: medians 3 and 3, parent quartiles [2, 4]; rss: medians 10 and 8,
+    # parent quartiles [10, 10], so a gap of 2 exceeds a spread of 0
+    assert out["rate"]["median_gap"] == 0.0 and not out["rate"]["gap_exceeds_parent_spread"]
+    assert out["rss"]["median_gap"] == -2.0 and out["rss"]["gap_exceeds_parent_spread"]
+
+
+def test_gap_is_compared_with_the_parent_quartile_spread():
+    declared = [{"name": "rate", "unit": "1/s", "better": "higher"}]
+
+    def pair(p, c):
+        return {"parent": {"metrics": {"rate": p}}, "change": {"metrics": {"rate": c}}}
+
+    # parent 10, 11, 12, 13, 14: median 12, quartiles [11, 13], spread 2
+    for change, beyond in ((14.0, False), (14.5, True), (9.5, True), (10.0, False)):
+        runs = [pair(p, change) for p in (10.0, 11.0, 12.0, 13.0, 14.0)]
+        out = bench_pairs.summarise(runs, declared)["rate"]
+        assert out["gap_exceeds_parent_spread"] is beyond, change
+        assert out["median_gap"] == change - 12.0
+
+
+def test_run_with_malformed_last_line_counts_as_failed(tmp_path, monkeypatch, capsys):
+    # the parent's benchmark ends with a line that is not JSON; the sweep goes on
+    result = '{"failed": 0, "attempted": 2, "metrics": {"rate": {"value": 2.0}}}'
+    for side, text in (("parent", "done, no result"), ("change", result)):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"print('{text}')\n",
+                                                              encoding="utf-8")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "rate", "unit": "1/s", "better": "higher"}]}',
+        encoding="utf-8")
+    monkeypatch.setattr(bench_pairs, "calibrate", lambda: 0.5)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                             str(tmp_path / "change"), "--label", "t", "--run", "w:1-2",
+                             "--out", str(out)]) == 0
+    w = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]
+    assert [r["parent"]["error"] for r in w["runs"]] == ["malformed output"] * 2
+    assert w["failed_operations"] == {"parent": 2, "change": 0}
+    assert w["metrics"] == {}
+    assert "| w | failed operations | 2 | 0 |" in capsys.readouterr().out
 
 
 def test_calibration_is_timed_before_each_run_and_summarised(tmp_path, monkeypatch, capsys):
@@ -60,7 +100,10 @@ def test_calibration_is_timed_before_each_run_and_summarised(tmp_path, monkeypat
     assert [r["calibration_ratio"] for r in w["runs"]] == [0.5, 0.75]
     assert w["calibration_drift"] == {"ratio": {"median": 0.625, "q1": 0.5625, "q3": 0.6875},
                                       "drifted": 2, "pairs": 2}
+    assert w["metrics"]["rate"]["median_gap"] == 1.0
+    assert w["metrics"]["rate"]["gap_exceeds_parent_spread"]
     out = capsys.readouterr().out
+    assert "| w | rate | 1 [1, 1] | 2 [2, 2] | 2.0 | 2/2 | yes (+1) |" in out
     assert "| w | calibration_s | 0.75 [0.625, 0.875] |" in out
     assert "| w | calibration change/parent | | | 0.625 [0.5625, 0.6875] | 2/2 differ > 15% |" \
         in out

@@ -396,6 +396,29 @@ def test_report_truncated_history_exits_2(tmp_path, capsys):
     assert "history.jsonl: line 2: malformed record" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("line", ['[1, 2]', '{"epoch": 0}', '"epoch"', 'null',
+                                  '{"epoch": 0, "train_loss": "0.5", "val_recall": 1.0, '
+                                  '"val_precision": 0.5, "val_f1": 0.6}'])
+def test_report_history_line_that_is_not_an_epoch_record_exits_2(line, tmp_path, capsys):
+    record = json.dumps({"epoch": 0, "train_loss": 0.5, "val_recall": 1.0,
+                         "val_precision": 0.5, "val_f1": 0.6})
+    (tmp_path / "history.jsonl").write_text(record + "\n" + line + "\n")
+    assert run_cli("report", "--run", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "history.jsonl: line 2: not an epoch record" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--heads", "0"), ("--heads", "-2"),
+                                        ("--d-model", "0"), ("--d-ffn", "0")])
+def test_encoder_size_below_one_exits_1(flag, value, tmp_path, capsys):
+    assert run_cli("synth", "--out", str(tmp_path / "x.jsonl"), flag, value) == 1
+    err = capsys.readouterr().err
+    key = {"--heads": "n_heads", "--d-model": "d_model", "--d-ffn": "d_ffn"}[flag]
+    assert err.startswith(f"vulnpool: config error: {key} must be >= 1, got {value}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_masked_top_k_above_block_exits_1(corpus_dir, tmp_path, capsys):
     # masked training selects top_k within the language's block, so the block
     # must hold top_k matrices; a sweep checks every value before training any

@@ -134,6 +134,87 @@ def test_folded_attention_rows_do_not_depend_on_the_batch(dtype):
             assert np.array_equal(alone, packed[i * queries:(i + 1) * queries]), (d, i)
 
 
+def folded_grads(args, segments, heads, g):
+    """Output and input gradients of `folded_attention` for upstream gradient g."""
+    args = [nc.parameter(a.data) for a in args]
+    out = nc.folded_attention(*args, segments, heads)
+    return out.data, out._backward(g)
+
+
+def test_folded_attention_skips_rows_outside_every_segment():
+    # gaps between segments: the op equals the op on the compacted rows, bit
+    # for bit, and rows outside every segment get an all-zero gradient
+    r = rng(9)
+    segments = [(2, 5), (5, 6), (9, 30), (31, 33)]
+    inside = [i for lo, hi in segments for i in range(lo, hi)]
+    starts = np.cumsum([0] + [hi - lo for lo, hi in segments])
+    compact = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    for dtype in (np.float32, np.float64):
+        q, x, wk, bk, wv, bv = folded_inputs(r, [(0, 36)] * 4, 3, 8, dtype)
+        g = r.normal(size=q.shape).astype(dtype)
+        out, grads = folded_grads([q, x, wk, bk, wv, bv], segments, 2, g)
+        out_c, grads_c = folded_grads([q, nc.tensor(x.data[inside]), wk, bk, wv, bv],
+                                      compact, 2, g)
+        assert np.array_equal(out, out_c)
+        dx = grads[1]
+        outside = np.setdiff1d(np.arange(x.shape[0]), inside)
+        assert dx.dtype == dtype and not dx[outside].any()
+        assert np.array_equal(dx[inside], grads_c[1])
+        for i in (0, 2, 3, 4, 5):
+            assert np.array_equal(grads[i], grads_c[i]), i
+
+
+def test_folded_attention_one_row_segments_and_a_batch_of_one():
+    r = rng(10)
+    # one-row segments: every query attends to its one row with weight 1
+    segments = [(0, 1), (1, 2), (2, 3)]
+    q, x, wk, bk, wv, bv = folded_inputs(r, segments, 2, 4)
+    g = r.normal(size=q.shape)
+    out, (dq, dx, dwk, dbk, dwv, dbv) = folded_grads([q, x, wk, bk, wv, bv], segments, 2, g)
+    assert np.allclose(out, np.repeat(x.data @ wv.data + bv.data, 2, axis=0), atol=1e-12)
+    assert np.allclose(dq, 0.0, atol=1e-12) and np.allclose(dwk, 0.0, atol=1e-12)
+    assert np.allclose(dx, (g[0::2] + g[1::2]) @ wv.data.T, atol=1e-12)
+    assert not dbk.any() and np.allclose(dbv, g.sum(axis=0), atol=1e-12)
+    # a batch of one segment: the rows of full attention over explicit K and
+    # V, and gradients that pass the finite-difference check
+    segments = [(0, 9)]
+    q, x, wk, bk, wv, bv = folded_inputs(r, segments, 3, 4)
+    q_full = r.normal(size=x.shape)
+    q_full[:3] = q.data
+    full = nc.attention(nc.tensor(q_full), nc.tensor(x.data @ wk.data + bk.data),
+                        nc.tensor(x.data @ wv.data + bv.data), segments, 2).data
+    part = nc.folded_attention(q, x, wk, bk, wv, bv, segments, 2).data
+    assert np.abs(part - full[:3]).max() < 1e-12
+    args = [q, x, wk, bk, wv, bv]
+    for slot in (0, 1, 2, 4):
+        def f(t, slot=slot):
+            return scalarize(nc.folded_attention(*[t if i == slot else a
+                                                   for i, a in enumerate(args)], segments, 2))
+        _check(f, nc.parameter(args[slot].data.copy()))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_folded_attention_gradients_do_not_depend_on_the_batch(dtype):
+    # a segment's dq and dx rows are bit-equal alone and packed with segments
+    # of 1 to 80 rows
+    r = rng(12)
+    lengths = [1, 80, 2, 7, 1, 3, 64, 5, 17, 2, 33, 1, 52]
+    starts = np.cumsum([0] + lengths)
+    segments = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    for heads, d, queries in [(2, 32, 2), (2, 32, 5), (4, 64, 2)]:
+        args = folded_inputs(r, segments, queries, d, dtype)
+        g = r.normal(size=args[0].shape).astype(dtype)
+        _, (dq, dx, *_) = folded_grads(args, segments, heads, g)
+        assert dq.dtype == dx.dtype == dtype
+        q, x = args[0].data, args[1].data
+        for i, (lo, hi) in enumerate(segments):
+            rows = slice(i * queries, (i + 1) * queries)
+            _, (dq1, dx1, *_) = folded_grads([nc.tensor(q[rows]), nc.tensor(x[lo:hi])]
+                                             + args[2:], [(0, hi - lo)], heads, g[rows])
+            assert np.array_equal(dq1, dq[rows]), (d, queries, i)
+            assert np.array_equal(dx1, dx[lo:hi]), (d, queries, i)
+
+
 def attention_backward_reference(q, k, v, g, n_heads):
     """Attention's backward over one segment in its earlier form: the
     softmax backward as one (H, S, S) product and row reduction, with the

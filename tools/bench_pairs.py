@@ -9,7 +9,10 @@ is the benchmark's own default) once in the parent checkout and once in the chan
 this script), alternating which side runs first. Per workload and end-to-end
 metric, the file gives each side's median and quartiles over the pairs, the
 ratio of the change's median to the parent's, the pairs in which the change
-read better (ties count for neither) and the failed operations per side; the
+read better (ties count for neither), the gap between the two medians and
+whether it exceeds the parent's quartile spread (q3 - q1), and the failed
+operations per side; a run whose last output line is not JSON counts as a
+failed run (`malformed output`); the
 raw value of every run is kept under `runs`. Before each run a fixed
 calibration loop (pure Python plus one small numpy product) is timed and kept
 beside the run as `calibration_s` (the fastest of 5 passes), with its
@@ -90,7 +93,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if done.returncode != 0 or not lines:
         tail = (done.stderr.strip().splitlines() or ["no output"])[-1]
         return {"failed": 1, "attempted": 1, "error": f"exit {done.returncode}: {tail}"}
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return {"failed": 1, "attempted": 1, "error": "malformed output"}
     return {"failed": result["failed"], "attempted": result["attempted"],
             "metrics": {k: m["value"] for k, m in result["metrics"].items()}}
 
@@ -116,6 +122,7 @@ def summarise(runs: list[dict], declared: list[dict]) -> dict:
         wins = sum((c > p) if higher else (c < p) for p, c in zip(vals["parent"], vals["change"]))
         stats = {side: quartiles(vals[side]) for side in SIDES}
         base = statistics.median(vals["parent"])
+        gap = statistics.median(vals["change"]) - base
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -123,6 +130,8 @@ def summarise(runs: list[dict], declared: list[dict]) -> dict:
             "ratio": round(statistics.median(vals["change"]) / base, 3) if base else None,
             "change_better_in": wins,
             "pairs": len(pairs),
+            "median_gap": sig(gap),
+            "gap_exceeds_parent_spread": abs(gap) > stats["parent"]["q3"] - stats["parent"]["q1"],
         }
     return out
 
@@ -137,25 +146,28 @@ def calibration_drift(runs: list[dict]) -> dict:
 
 
 def table(workloads: dict) -> str:
-    rows = ["| workload | metric | parent | change | ratio | change better in |",
-            "|---|---|---|---|---|---|"]
+    rows = ["| workload | metric | parent | change | ratio | change better in "
+            "| median gap beyond parent IQR |",
+            "|---|---|---|---|---|---|---|"]
     for workload, w in workloads.items():
         for name, m in w["metrics"].items():
             p, c = m["parent"], m["change"]
+            beyond = "yes" if m["gap_exceeds_parent_spread"] else "no"
             rows.append(f"| {workload} | {name} | {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                         f" | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | {m['ratio']}"
-                        f" | {m['change_better_in']}/{m['pairs']} |")
+                        f" | {m['change_better_in']}/{m['pairs']}"
+                        f" | {beyond} ({m['median_gap']:+.4g}) |")
         p, c = w["calibration_s"]["parent"], w["calibration_s"]["change"]
         rows.append(f"| {workload} | calibration_s | {p['median']:.4g} [{p['q1']:.4g}, "
-                    f"{p['q3']:.4g}] | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | | |")
+                    f"{p['q3']:.4g}] | {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}] | | | |")
         drift = w["calibration_drift"]
         r = drift["ratio"]
         rows.append(f"| {workload} | calibration change/parent | | | {r['median']:.4g} "
                     f"[{r['q1']:.4g}, {r['q3']:.4g}] | {drift['drifted']}/{drift['pairs']} "
-                    f"differ > {DRIFT - 1:.0%} |")
+                    f"differ > {DRIFT - 1:.0%} | |")
         failed = w["failed_operations"]
         rows.append(f"| {workload} | failed operations | {failed['parent']} | {failed['change']}"
-                    " | | |")
+                    " | | | |")
     return "\n".join(rows)
 
 
@@ -200,7 +212,8 @@ def main(argv=None) -> int:
         "host": args.host,
         "statistic": "median and quartiles [q1, q3] (inclusive method) over the pairs; "
                      "ratio is change median / parent median; change_better_in counts "
-                     "pairs, ties for neither",
+                     "pairs, ties for neither; median_gap is change median - parent median, "
+                     "and gap_exceeds_parent_spread compares its size with parent q3 - q1",
         "workloads": {},
     }
     if args.tier1_parent or args.tier1_change:
