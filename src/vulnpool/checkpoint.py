@@ -32,7 +32,7 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
+def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict):
     entries = []
     blobs = []
     offset = 0
@@ -48,7 +48,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None):
         blobs.append(raw)
         offset += len(raw)
     manifest = json.dumps(
-        {"meta": meta or {}, "arrays": entries}, sort_keys=True, separators=(",", ":")
+        {"meta": meta, "arrays": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.tmp")

@@ -51,7 +51,7 @@ def _run_config(args) -> RunConfig:
     return build_run_config(args.config, overrides)
 
 
-def _require(cfg: RunConfig, **fields):
+def _require(**fields):
     for name, value in fields.items():
         if value is None:
             raise ConfigError(f"missing required setting: {name}")
@@ -74,7 +74,7 @@ def _load_corpus_dir(cfg: RunConfig):
 
 def cmd_synth(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, out=cfg.out)
+    _require(out=cfg.out)
     samples = corpus.generate_synthetic(cfg.n_per_language, cfg.vuln_rate, cfg.seed)
     corpus.save_records(samples, cfg.resolve_path(cfg.out))
     print(f"wrote {len(samples)} samples to {cfg.out}")
@@ -83,7 +83,7 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data, out=cfg.out)
+    _require(data=cfg.data, out=cfg.out)
     out_dir = cfg.resolve_path(cfg.out)
     os.makedirs(out_dir, exist_ok=True)
 
@@ -111,7 +111,7 @@ def cmd_preprocess(args) -> int:
         corpus.save_records(getattr(split, name), os.path.join(out_dir, f"{name}.jsonl"))
     corpus.save_records(dropped + empty, os.path.join(out_dir, "dropped.jsonl"))
 
-    st = corpus.stats(split)
+    st = corpus.CorpusStats.from_split(split)
     with open(os.path.join(out_dir, "stats.txt"), "w", encoding="utf-8") as f:
         f.write(st.render() + "\n")
     with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as f:
@@ -135,7 +135,7 @@ def cmd_preprocess(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data, out=cfg.out)
+    _require(data=cfg.data, out=cfg.out)
     samples = corpus.load_records(cfg.resolve_path(cfg.data))
     vocab = tok.build_vocab(samples, cfg.vocab_size)
     tok.save_vocab(vocab, cfg.resolve_path(cfg.out))
@@ -145,7 +145,7 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data, out=cfg.out)
+    _require(data=cfg.data, out=cfg.out)
     split, vocab = _load_corpus_dir(cfg)
     run_dir = cfg.resolve_path(cfg.out)
     os.makedirs(run_dir, exist_ok=True)
@@ -180,7 +180,7 @@ def _write_reports(run_dir, report, predictions, samples) -> list:
 
 def cmd_eval(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data)
+    _require(data=cfg.data)
     run_dir = cfg.resolve_path(args.run)
     split, vocab = _load_corpus_dir(cfg)
     model, _, _ = trainer.load_checkpoint(os.path.join(run_dir, "best.ckpt"), vocab)
@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data, out=cfg.out)
+    _require(data=cfg.data, out=cfg.out)
     if not args.axis:
         raise ConfigError("missing required setting: axis")
     split, vocab = _load_corpus_dir(cfg)
@@ -214,7 +214,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     cfg = _run_config(args)
-    _require(cfg, data=cfg.data, out=cfg.out)
+    _require(data=cfg.data, out=cfg.out)
     run_dir = cfg.resolve_path(args.run)
     split, vocab = _load_corpus_dir(cfg)
     model, _, _ = trainer.load_checkpoint(os.path.join(run_dir, "best.ckpt"), vocab)

@@ -1,7 +1,9 @@
 """Merged run configuration: file values, command-line overrides, defaults.
 
-Every run setting is one RunConfig field; its type hint drives how file
-values and flags are parsed. Plain-text key = value files; a flag beats the
+Every run setting is one RunConfig field, which holds the setting's only
+default: ModelConfig, EncoderConfig and TrainConfig have none and are built
+from a RunConfig. A field's type hint drives how file values and flags are
+parsed. Plain-text key = value files; a flag beats the
 file, the file beats the default. Relative data paths resolve against the
 VULNPOOL_DATA environment variable when it is set.
 """
@@ -203,11 +205,11 @@ def load_config_file(path) -> dict:
     return values
 
 
-def build_run_config(file_path=None, overrides: dict | None = None) -> RunConfig:
+def build_run_config(file_path, overrides: dict) -> RunConfig:
     values = {}
     if file_path is not None:
         values.update(load_config_file(file_path))
-    for key, raw in (overrides or {}).items():
+    for key, raw in overrides.items():
         if raw is None:
             continue
         values[key] = _parse_value(key, raw) if isinstance(raw, str) else raw

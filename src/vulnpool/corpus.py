@@ -14,7 +14,7 @@ import random
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from . import tokenizer as tok
@@ -113,7 +113,7 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 # record IO
 
-def record_to_sample(obj: dict, where: str = "record") -> CodeSample:
+def record_to_sample(obj: dict, where: str) -> CodeSample:
     for key in ("id", "language", "code", "label"):
         if key not in obj:
             raise CorpusError(f"{where}: missing field {key!r}")
@@ -281,7 +281,7 @@ def strip_comments(code: str, language: Language) -> str:
 # ---------------------------------------------------------------------------
 # length filtering and splitting
 
-def filter_by_length(samples, max_tokens: int = 512):
+def filter_by_length(samples, max_tokens: int):
     """Partition samples by framed token count; both halves are returned
     so nothing is silently discarded."""
     kept, dropped = [], []
@@ -474,7 +474,7 @@ def generate_synthetic(n_per_language: int, vuln_rate: float, seed: int) -> list
 class CorpusStats:
     """Counts per language x split x label."""
 
-    counts: Counter = field(default_factory=Counter)  # (language, split, label) -> n
+    counts: Counter  # (language, split, label) -> n
 
     @classmethod
     def from_split(cls, split: DatasetSplit) -> "CorpusStats":
@@ -545,7 +545,3 @@ class CorpusStats:
              rec["non_vulnerable"], rec["total"]]
         )
         return render_rows(header, rows)
-
-
-def stats(split: DatasetSplit) -> CorpusStats:
-    return CorpusStats.from_split(split)

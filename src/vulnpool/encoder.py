@@ -26,12 +26,12 @@ from .numcore import Tensor
 
 @dataclass
 class EncoderConfig:
-    n_layers: int = 2
-    n_heads: int = 2
-    d_model: int = 32
-    d_ffn: int = 64
-    max_positions: int = 517
-    dropout_rate: float = 0.0
+    n_layers: int
+    n_heads: int
+    d_model: int
+    d_ffn: int
+    max_positions: int
+    dropout_rate: float
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ffn"):
@@ -87,7 +87,7 @@ class Encoder:
         self.params = params
 
     @classmethod
-    def init_random(cls, config: EncoderConfig, vocab_size: int, seed: int = 0) -> "Encoder":
+    def init_random(cls, config: EncoderConfig, vocab_size: int, seed: int) -> "Encoder":
         rng = np.random.default_rng(seed)
         params = {}
         for name, shape in _param_shapes(config, vocab_size).items():
@@ -136,8 +136,7 @@ class Encoder:
     def _linear(self, x: Tensor, w: str, b: str) -> Tensor:
         return nc.linear(x, self.params[w], self.params[b])
 
-    def encode(self, x: Tensor, segments, keep: int | None = None, train_mode: bool = False,
-               rng=None) -> Tensor:
+    def encode(self, x: Tensor, segments, keep: int | None, train_mode: bool, rng) -> Tensor:
         """Run the pre-norm encoder stack over sequences packed back to back
         as `segments` (see `embed`); rows attend only within their own
         sequence.

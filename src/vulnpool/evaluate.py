@@ -41,7 +41,7 @@ class MetricsReport:
     recall: float
     precision: float
     f1: float
-    flags: tuple[str, ...] = ()
+    flags: tuple[str, ...]
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int, tn: int) -> "MetricsReport":
@@ -113,7 +113,7 @@ class GroupMetrics:
 class BreakdownReport:
     by: str
     groups: dict[str, GroupMetrics]
-    macro: dict | None = None  # unweighted averages over the CWE shortlist
+    macro: dict | None  # unweighted averages over the CWE shortlist
 
     def to_record(self) -> dict:
         rec = {

@@ -38,14 +38,14 @@ PREDICT_ROWS = 1024
 
 @dataclass
 class ModelConfig:
-    mode: str = "pool_masked"
-    lam: float = 0.1  # weight of the query/key match term in the joint loss
-    top_k: int = 1
-    prompt_len: int = 5
-    pool_size: int = 7
-    matrices_per_language: int = 1
-    query_from: str = "embed_mean"
-    max_tokens: int = 512
+    mode: str
+    lam: float  # weight of the query/key match term in the joint loss
+    top_k: int
+    prompt_len: int
+    pool_size: int
+    matrices_per_language: int
+    query_from: str
+    max_tokens: int
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -106,7 +106,7 @@ class Prediction:
     logits: np.ndarray
     prob_vulnerable: float
     label: int
-    selection: pl.Selection | None = None
+    selection: pl.Selection | None  # None without a pool
 
 
 class VulnPoolModel:
@@ -216,16 +216,16 @@ class VulnPoolModel:
             return 0
         return self.config.top_k * self.config.prompt_len
 
-    def forward(self, samples, train_mode: bool = False, seqs=None) -> ForwardResult:
-        """One packed graph over the mini-batch `samples`; see ForwardResult.
+    def forward(self, samples, seqs, train_mode: bool = False) -> ForwardResult:
+        """One packed graph over the mini-batch `samples` and their token ids
+        `seqs`, from `tokenize`; see ForwardResult.
 
-        `seqs`, the samples' token ids from `tokenize`, saves tokenizing again.
         The encoder returns the first `keep` rows of each sequence, one block
         per sample: the prompt rows the classifier pools, or the [CLS] row
         without a pool. Never fewer than 2, so that the last layer's products
         have two rows or more for a sample alone too (see `predict_many`)."""
         samples = list(samples)
-        x_e, segments = self.embed(self.tokenize(samples) if seqs is None else seqs)
+        x_e, segments = self.embed(seqs)
         rng = self._dropout_rng
         keep = max(2, self._prompt_rows())
         blocks = range(0, keep * len(segments), keep)

@@ -308,8 +308,11 @@ def concat_rows(tensors) -> Tensor:
 
 
 def _segments(segments, rows: int, op: str) -> list[tuple[int, int]]:
-    """Validate (start, stop) row ranges: non-empty, in order, not overlapping."""
+    """Validate (start, stop) row ranges: at least one, each non-empty, in
+    order, not overlapping."""
     spans = [(int(lo), int(hi)) for lo, hi in segments]
+    if not spans:
+        raise ShapeError(f"{op}: no segments")
     prev = 0
     for lo, hi in spans:
         if not prev <= lo < hi <= rows:

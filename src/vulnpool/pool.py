@@ -51,7 +51,7 @@ class LanguageAssignment:
     mapping: dict[Language, tuple[int, ...]]
 
     @classmethod
-    def default(cls, per_language: int = 1) -> "LanguageAssignment":
+    def default(cls, per_language: int) -> "LanguageAssignment":
         return cls({
             lang: tuple(range(i * per_language, (i + 1) * per_language))
             for i, lang in enumerate(LANGUAGES)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CLS_TOKEN = "[CLS]"
 EOS_TOKEN = "[EOS]"
@@ -53,7 +53,7 @@ class Vocabulary:
 class TokenSequence:
     """Token ids framed as [CLS] ... [EOS]."""
 
-    ids: list[int] = field(default_factory=list)
+    ids: list[int]
 
     def __post_init__(self):
         if len(self.ids) < 2:
@@ -87,7 +87,7 @@ def build_vocab(corpus, max_size: int) -> Vocabulary:
     )
 
 
-def encode(code: str, vocab: Vocabulary, max_tokens: int = 512) -> TokenSequence:
+def encode(code: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
     """Encode text as [CLS] + body + [EOS], truncating the body from the right."""
     if max_tokens < 2:
         raise TokenizerError(f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, "
@@ -100,19 +100,6 @@ def encode(code: str, vocab: Vocabulary, max_tokens: int = 512) -> TokenSequence
 def token_length(code: str) -> int:
     """Framed token count ([CLS] + body + [EOS]) without truncation."""
     return len(tokenize(code)) + 2
-
-
-def decode(ids, vocab: Vocabulary) -> str:
-    """Inverse of encode up to whitespace normalization and [UNK] lossiness."""
-    toks = []
-    for i in ids:
-        if not 0 <= i < vocab.size:
-            raise TokenizerError(f"id {i} out of range for vocabulary of size {vocab.size}")
-        tok = vocab.id_to_token[i]
-        if tok in (CLS_TOKEN, EOS_TOKEN, PAD_TOKEN):
-            continue
-        toks.append(tok)
-    return " ".join(toks)
 
 
 def save_vocab(vocab: Vocabulary, path):

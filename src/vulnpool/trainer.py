@@ -39,23 +39,23 @@ SWEEP_AXES = {
 class TrainingDivergedError(RuntimeError):
     """Raised when the loss stops being finite; carries a diagnostic snapshot."""
 
-    def __init__(self, message, epoch=None, batch=None, sample_ids=None):
+    def __init__(self, message, epoch, batch, sample_ids):
         super().__init__(message)
         self.epoch = epoch
         self.batch = batch
-        self.sample_ids = sample_ids or []
+        self.sample_ids = sample_ids
 
 
 @dataclass
 class TrainConfig:
-    epochs: int = 5
-    batch_size: int = 32
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
-    grad_clip: float | None = None  # off by default; global-norm clip when set
+    epochs: int
+    batch_size: int
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    seed: int
+    grad_clip: float | None  # global-norm clip when set
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -71,9 +71,9 @@ class EpochRecord:
     val_recall: float
     val_precision: float
     val_f1: float
-    selection_counts: dict[str, dict[int, int]] = field(default_factory=dict)
-    params_touched: int = 0
-    keys_reinitialised: list[int] = field(default_factory=list)  # zero keys re-drawn, in order
+    selection_counts: dict[str, dict[int, int]]
+    params_touched: int
+    keys_reinitialised: list[int]  # zero keys re-drawn, in order
 
     def to_record(self) -> dict:
         return {
@@ -115,10 +115,10 @@ def adam_step(
     named_params,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    grad_clip: float | None = None,
+    beta1: float,
+    beta2: float,
+    eps: float,
+    grad_clip: float | None,
 ):
     """One bias-corrected adaptive-moment update of `flat`, the 1-D buffer
     whose views, in order, are the parameters of the (name, parameter)
@@ -311,7 +311,7 @@ def _nest_selections(selections: Counter) -> dict[str, dict[int, int]]:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(model: VulnPoolModel, state: AdamState | None, path, epochs_done: int = 0):
+def save_checkpoint(model: VulnPoolModel, state: AdamState | None, path, epochs_done: int):
     """Store the parameters and, once Adam has stepped, each parameter's
     moments; a parameter never updated has all-zero moments, as in a fresh
     state."""
@@ -443,8 +443,7 @@ class SweepResult:
         ]
 
 
-def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str,
-          log=None) -> SweepResult:
+def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str, log) -> SweepResult:
     """Train one model per axis value (shared seed) and tabulate test metrics."""
     from .config import build_model, build_train_config
 
@@ -460,8 +459,7 @@ def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str,
     rows = []
     for value, run_cfg in zip(values, configs):
         model = build_model(run_cfg, vocab)
-        if log:
-            log(f"sweep {axis}={value}: training")
+        log(f"sweep {axis}={value}: training")
         best, history = train(model, split, build_train_config(run_cfg))
         report, _ = ev.evaluate_model(best, split.test)
         rows.append(

@@ -16,11 +16,8 @@ import pytest
 
 from vulnpool import cli, corpus, evaluate as ev, numcore as nc, pool as pl
 from vulnpool import tokenizer as tok, trainer
-from vulnpool.config import RunConfig
+from vulnpool.config import RunConfig, build_model
 from vulnpool.corpus import LANGUAGES, Language
-from vulnpool.encoder import EncoderConfig
-from vulnpool.model import ModelConfig, VulnPoolModel
-from vulnpool.trainer import TrainConfig
 
 
 def verdict(criterion, ok, detail):
@@ -92,13 +89,8 @@ def test_criterion_2_gradient_integrity():
     t0 = time.time()
     samples = corpus.generate_synthetic(4, 0.5, seed=7)
     vocab = tok.build_vocab(samples, max_size=64)
-    model = VulnPoolModel(
-        ModelConfig(mode="pool_masked", lam=0.1, prompt_len=5, pool_size=7,
-                    max_tokens=48),
-        EncoderConfig(n_layers=2, n_heads=2, d_model=16, d_ffn=32, max_positions=53),
-        vocab,
-        seed=3,
-    )
+    model = build_model(RunConfig(mode="pool_masked", max_tokens=48, d_model=16, d_ffn=32,
+                                  seed=3), vocab)
     # central differences need float64 headroom; the model computes in the
     # dtype of its parameters
     model.load_params({n: a.astype(np.float64) for n, a in model.snapshot_params().items()})
@@ -106,7 +98,7 @@ def test_criterion_2_gradient_integrity():
     chosen = [s for s in samples if s.language in (Language.C, Language.JAVA)][:2]
 
     def joint_loss(_ignored):  # mean joint loss of one batched forward
-        out = model.forward(chosen, train_mode=True)
+        out = model.forward(chosen, model.tokenize(chosen), train_mode=True)
         return model.loss(out.logits, [s.label for s in chosen], out.phi)
 
     # coordinates with gradients of order 1e-9 drown in float roundoff at
@@ -218,11 +210,10 @@ def test_criterion_4_surrogate_dynamics():
 # ---------------------------------------------------------------------------
 # criteria 5 and 6: desk-scale learning and language anchoring
 
-# one attention layer keeps the shared backbone capacity-bound on the
+# the acceptance desk config; every setting not named is RunConfig's default.
+# One attention layer keeps the shared backbone capacity-bound on the
 # language-dependent shared-API samples, which is the regime the pool is for
-DESK_ENCODER = dict(n_layers=1, n_heads=2, d_model=32, d_ffn=64, max_positions=85)
-DESK_MODEL = dict(lam=0.1, top_k=1, prompt_len=5, pool_size=7, max_tokens=80)
-DESK_TRAIN = dict(epochs=5, batch_size=32, lr=1e-3)
+DESK = dict(n_layers=1, d_model=32, d_ffn=64, max_tokens=80, epochs=5, lr=1e-3)
 
 # per-language (train, val, test) counts summing to 2000 / 400 / 400
 _DESK_COUNTS = [(286, 57, 57)] * 5 + [(285, 58, 57), (285, 57, 58)]
@@ -242,12 +233,7 @@ def desk_split() -> corpus.DatasetSplit:
 
 
 def desk_model(vocab, mode, seed):
-    return VulnPoolModel(
-        ModelConfig(mode=mode, **DESK_MODEL),
-        EncoderConfig(**DESK_ENCODER),
-        vocab,
-        seed=seed,
-    )
+    return build_model(RunConfig(mode=mode, seed=seed, **DESK), vocab)
 
 
 @pytest.fixture(scope="module")
@@ -256,7 +242,7 @@ def desk_run():
     vocab = tok.build_vocab(split.train, max_size=1024)
     model = desk_model(vocab, "pool_masked", seed=0)
     t0 = time.time()
-    best, history = trainer.train(model, split, TrainConfig(seed=0, **DESK_TRAIN))
+    best, history = trainer.train(model, split, RunConfig(**DESK).train_config())
     elapsed = time.time() - t0
     report, _ = ev.evaluate_model(best, split.test)
     return {
@@ -280,12 +266,12 @@ def test_criterion_5_desk_scale_learning(desk_run):
         if seed > 0:
             best, _ = trainer.train(
                 desk_model(vocab, "pool_masked", seed), split,
-                TrainConfig(seed=seed, **DESK_TRAIN),
+                RunConfig(seed=seed, **DESK).train_config(),
             )
             masked_f1s.append(ev.evaluate_model(best, split.test)[0].f1)
         best, _ = trainer.train(
             desk_model(vocab, "backbone_only", seed), split,
-            TrainConfig(seed=seed, **DESK_TRAIN),
+            RunConfig(seed=seed, **DESK).train_config(),
         )
         backbone_f1s.append(ev.evaluate_model(best, split.test)[0].f1)
 
@@ -341,9 +327,9 @@ def test_criterion_7_ablation_harness():
     base = RunConfig(d_model=32, d_ffn=64, n_layers=2, n_heads=2, max_tokens=80,
                      epochs=8, batch_size=32, lr=1e-3, seed=202, mode="pool_masked")
 
-    lp_result = trainer.sweep(split, vocab, base, "lp")
+    lp_result = trainer.sweep(split, vocab, base, "lp", log=print)
     k_result = trainer.sweep(split, vocab,
-                             dataclasses.replace(base, mode="pool_query"), "topk")
+                             dataclasses.replace(base, mode="pool_query"), "topk", log=print)
 
     problems = []
     for result, expected_values in ((lp_result, [1, 3, 5, 7, 9]), (k_result, [1, 2, 3])):
@@ -478,7 +464,7 @@ def test_criterion_9_preprocessing_fidelity(tmp_path):
 
     kept, dropped = corpus.filter_by_length(stripped, max_tokens=512)
     split = corpus.split_dataset(kept)  # pre-assigned splits win
-    st = corpus.stats(split)
+    st = corpus.CorpusStats.from_split(split)
     rec = st.to_record()
 
     split_totals_ok = (rec["train"], rec["val"], rec["test"]) == (16126, 2013, 2026)

@@ -7,9 +7,8 @@ import pytest
 from vulnpool import checkpoint as ckpt
 from vulnpool import corpus, trainer
 from vulnpool.checkpoint import CheckpointError
-from vulnpool.trainer import TrainConfig
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, tiny_config
 
 
 def write_raw(path, manifest: dict, data: bytes = b""):
@@ -21,7 +20,7 @@ def test_truncated_training_checkpoint_raises_only_checkpoint_error(tmp_path):
     split = corpus.split_dataset(corpus.generate_synthetic(4, 0.5, seed=8), (0.8, 0.1, 0.1),
                                  seed=8)
     model = build_tiny_model(split.train + split.val + split.test, mode="pool_masked")
-    trainer.train(model, split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0),
+    trainer.train(model, split, tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config(),
                   run_dir=tmp_path / "run")
     whole = (tmp_path / "run" / "epoch_0.ckpt").read_bytes()
     cut = tmp_path / "cut.ckpt"

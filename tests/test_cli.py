@@ -454,7 +454,7 @@ def test_numerical_failure_exits_3(corpus_dir, tmp_path, monkeypatch):
 
     def explode(*args, **kw):
         raise trainer.TrainingDivergedError("non-finite loss nan at epoch 0 batch 1",
-                                            epoch=0, batch=1)
+                                            epoch=0, batch=1, sample_ids=["c-0001"])
 
     monkeypatch.setattr(cli_mod.trainer, "train", explode)
     code = run_cli("train", "--data", str(corpus_dir), "--out", str(tmp_path / "r"),

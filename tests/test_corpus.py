@@ -322,7 +322,7 @@ def test_synthetic_colliding_samples_cover_both_labels():
 
 def test_stats_empty_split_all_zero():
     split = corpus.DatasetSplit([], [], [])
-    st = corpus.stats(split)
+    st = corpus.CorpusStats.from_split(split)
     assert st.total == 0
     assert st.split_total("train") == 0
 
@@ -330,7 +330,7 @@ def test_stats_empty_split_all_zero():
 def test_stats_synthetic_counts():
     samples = corpus.generate_synthetic(10, 0.5, seed=1)
     split = corpus.split_dataset(samples, seed=1)
-    st = corpus.stats(split)
+    st = corpus.CorpusStats.from_split(split)
     assert st.total == 70
     for language in Language:
         assert st.language_total(language) == 10
@@ -339,13 +339,13 @@ def test_stats_synthetic_counts():
 def test_stats_totals_equal_cardinality():
     samples = corpus.generate_synthetic(13, 0.4, seed=3)
     split = corpus.split_dataset(samples, seed=3)
-    assert corpus.stats(split).total == len(samples)
+    assert corpus.CorpusStats.from_split(split).total == len(samples)
 
 
 def test_stats_render_mentions_every_language():
     samples = corpus.generate_synthetic(3, 0.5, seed=5)
     split = corpus.split_dataset(samples, seed=5)
-    table = corpus.stats(split).render()
+    table = corpus.CorpusStats.from_split(split).render()
     for language in Language:
         assert language.tag in table
     assert "Total" in table

@@ -15,12 +15,12 @@ from vulnpool.corpus import Language
 from vulnpool.encoder import EncoderConfig
 from vulnpool.model import ModelConfig, VulnPoolModel
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, tiny_config
 
 
 def test_backbone_mode_never_touches_pool(small_corpus):
     model = build_tiny_model(small_corpus, mode="backbone_only")
-    out = model.forward([small_corpus[0]], train_mode=True)
+    out = model.forward([small_corpus[0]], model.tokenize([small_corpus[0]]), train_mode=True)
     assert out.selections is None and out.phi is None
     loss = model.loss(out.logits, [small_corpus[0].label], out.phi)
     # without a selection the joint loss degenerates to plain cross-entropy
@@ -36,11 +36,12 @@ def test_backbone_mode_never_touches_pool(small_corpus):
 def test_classifier_reads_mean_of_prompt_rows(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_query", prompt_len=5)
     sample = small_corpus[0]
-    out = model.forward([sample], train_mode=False)
+    out = model.forward([sample], model.tokenize([sample]), train_mode=False)
     with nc.no_grad():
         x_e, segments = model.embed(model.tokenize([sample]))
         adapted = pl.adapt(out.selections, model.pool, x_e, segments)
-        h = model.encoder.encode(adapted.matrix, adapted.segments)
+        h = model.encoder.encode(adapted.matrix, adapted.segments, None, train_mode=False,
+                                 rng=None)
     pooled = h.data[0:5].mean(axis=0)
     expected = pooled @ model.classifier_w.data + model.classifier_b.data
     assert np.allclose(out.logits.data, expected, atol=1e-12)
@@ -51,10 +52,10 @@ def test_masked_training_uses_assigned_index_inference_is_unrestricted(small_cor
     go_samples = [s for s in small_corpus if s.language is Language.GO]
     go_index = model.assignment.indices_for(Language.GO)[0]
     for s in go_samples:
-        train_out = model.forward([s], train_mode=True)
+        train_out = model.forward([s], model.tokenize([s]), train_mode=True)
         assert train_out.selections[0].i_star == go_index
         # inference ignores the language and selects over the whole pool
-        eval_out = model.forward([s], train_mode=False)
+        eval_out = model.forward([s], model.tokenize([s]), train_mode=False)
         with nc.no_grad():
             q = model.query_vector(*model.embed(model.tokenize([s])))
         assert eval_out.selections[0].i_star == pl.select(q.data, model.keys)[0].i_star
@@ -64,7 +65,7 @@ def test_masked_training_pulls_only_assigned_key(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked")
     sample = [s for s in small_corpus if s.language is Language.JAVA][0]
     assigned = model.assignment.indices_for(Language.JAVA)[0]
-    out = model.forward([sample], train_mode=True)
+    out = model.forward([sample], model.tokenize([sample]), train_mode=True)
     nc.backward(model.loss(out.logits, [sample.label], out.phi))
     for i, k in enumerate(model.keys):
         if i == assigned:
@@ -79,12 +80,12 @@ def test_masked_training_selects_top_k_within_the_language_block(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked", top_k=2, pool_size=14,
                              matrices_per_language=2)
     batch = small_corpus[:10]
-    train_out = model.forward(batch, train_mode=True)
+    train_out = model.forward(batch, model.tokenize(batch), train_mode=True)
     for s, selection in zip(batch, train_out.selections):
         assert sorted(selection.indices) == list(model.assignment.indices_for(s.language))
     assert all(len(p.selection.indices) == 2 for p in model.predict_many(batch))
     with pytest.raises(ValueError, match="matrices_per_language"):
-        ModelConfig(mode="pool_masked", top_k=2, matrices_per_language=1)
+        tiny_config(mode="pool_masked", top_k=2, matrices_per_language=1).model_config()
 
 
 def test_loss_lambda_zero_is_plain_cross_entropy(small_corpus):
@@ -200,14 +201,14 @@ def test_predict_never_builds_the_match_term(small_corpus, monkeypatch):
     monkeypatch.setattr(pl, "surrogate_similarity", lambda *args: calls.append(args))
     model.predict_many(small_corpus[:3])
     assert calls == []
-    out = model.forward(small_corpus[:3])
+    out = model.forward(small_corpus[:3], model.tokenize(small_corpus[:3]))
     assert out.phi is out.phi and len(calls) == 1  # built on first read, then kept
 
 
 def test_forward_is_deterministic(small_corpus):
     model = build_tiny_model(small_corpus)
-    a = model.forward([small_corpus[0]]).logits.data
-    b = model.forward([small_corpus[0]]).logits.data
+    a = model.forward([small_corpus[0]], model.tokenize([small_corpus[0]])).logits.data
+    b = model.forward([small_corpus[0]], model.tokenize([small_corpus[0]])).logits.data
     assert np.array_equal(a, b)
 
 
@@ -232,14 +233,14 @@ def test_key_gradient_step_increases_similarity():
 def test_surrogate_increases_under_model_forward(small_corpus):
     model = build_tiny_model(small_corpus, mode="pool_masked")
     sample = small_corpus[3]
-    out = model.forward([sample], train_mode=True)
+    out = model.forward([sample], model.tokenize([sample]), train_mode=True)
     before = out.phi.item()
     nc.backward(out.phi)
     key = model.keys[out.selections[0].i_star]
     key.data += 1e-3 * key.grad
     for _, p in model.parameters():
         p.grad = None
-    after = model.forward([sample], train_mode=True).phi.item()
+    after = model.forward([sample], model.tokenize([sample]), train_mode=True).phi.item()
     assert after > before
 
 
@@ -271,20 +272,20 @@ def test_masked_mode_without_assignment_errors():
     # a pool too small for one block per language is a config error, not a
     # runtime one at the first masked batch
     with pytest.raises(ValueError, match="pool_size 3 cannot hold 7 languages"):
-        ModelConfig(mode="pool_masked", pool_size=3)
+        tiny_config(mode="pool_masked", pool_size=3).model_config()
     with pytest.raises(ValueError, match="matrices_per_language 2"):
-        ModelConfig(mode="pool_masked", pool_size=13, matrices_per_language=2)
-    ModelConfig(mode="pool_masked", pool_size=14, matrices_per_language=2)
-    ModelConfig(mode="pool_query", pool_size=3)  # free selection needs no blocks
+        tiny_config(mode="pool_masked", pool_size=13, matrices_per_language=2).model_config()
+    tiny_config(mode="pool_masked", pool_size=14, matrices_per_language=2).model_config()
+    tiny_config(mode="pool_query", pool_size=3).model_config()  # free selection needs no blocks
 
 
 def test_model_config_validation():
     with pytest.raises(ValueError, match="mode"):
-        ModelConfig(mode="nope")
+        tiny_config(mode="nope").model_config()
     with pytest.raises(ValueError, match="top_k"):
-        ModelConfig(top_k=9, pool_size=7)
+        tiny_config(top_k=9, pool_size=7).model_config()
     with pytest.raises(ValueError, match="lam"):
-        ModelConfig(lam=-0.5)
+        tiny_config(lam=-0.5).model_config()
 
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_batch"
@@ -302,7 +303,7 @@ def test_packed_batch_matches_per_sample_golden(case):
                           code=r["code"], label=r["label"])
         for r in meta["samples"]
     ]
-    out = model.forward(samples, train_mode=True)
+    out = model.forward(samples, model.tokenize(samples), train_mode=True)
     loss = model.loss(out.logits, [s.label for s in samples], out.phi)
     nc.backward(loss)
 
@@ -326,14 +327,15 @@ def test_forward_reads_the_rows_of_the_full_encoder(small_corpus, mode, prompt_l
     # stack, in float64, also when fewer prompt rows than the two kept ones
     model = build_tiny_model(small_corpus, mode=mode, prompt_len=prompt_len, n_layers=2)
     model.load_params({n: a.astype(np.float64) for n, a in model.snapshot_params().items()})
-    out = model.forward(small_corpus)
+    out = model.forward(small_corpus, model.tokenize(small_corpus))
     x_e, segments = model.embed(model.tokenize(small_corpus))
     if mode == "backbone_only":
-        h = model.encoder.encode(x_e, segments)
+        h = model.encoder.encode(x_e, segments, None, train_mode=False, rng=None)
         pooled = nc.gather_rows(h, [lo for lo, _ in segments])
     else:
         adapted = pl.adapt(out.selections, model.pool, x_e, segments)
-        h = model.encoder.encode(adapted.matrix, adapted.segments)
+        h = model.encoder.encode(adapted.matrix, adapted.segments, None, train_mode=False,
+                                 rng=None)
         pooled = nc.segment_mean(h, [(lo, lo + prompt_len) for lo, _ in adapted.segments])
     expected = model._classify(pooled).data
     assert np.abs(out.logits.data - expected).max() < 1e-12
@@ -356,7 +358,7 @@ def test_last_layer_linears_see_only_the_kept_rows(small_corpus, monkeypatch, mo
         return linear(x, w, b)
 
     monkeypatch.setattr(nc, "linear", recording)
-    model.forward(small_corpus, train_mode=True)
+    model.forward(small_corpus, model.tokenize(small_corpus), train_mode=True)
     kept = len(small_corpus) * max(2, model._prompt_rows())
     rows = sum(len(ids) for ids in model.tokenize(small_corpus)) + (
         len(small_corpus) * model._prompt_rows())

@@ -412,6 +412,20 @@ def test_prepend_rows_rejects_what_it_cannot_place():
         nc.prepend_rows(nc.tensor(np.zeros((5, 4))), [(0, 5)], blocks, [[0]])
 
 
+@pytest.mark.parametrize("op", ["segment_mean", "attention", "folded_attention",
+                                "prepend_rows"])
+def test_segment_ops_reject_no_segments(op):
+    x, w, b = (nc.tensor(np.zeros(shape)) for shape in ((0, 4), (4, 4), (4,)))
+    calls = {
+        "segment_mean": lambda: nc.segment_mean(x, []),
+        "attention": lambda: nc.attention(x, x, x, [], 2),
+        "folded_attention": lambda: nc.folded_attention(x, x, w, b, w, b, [], 2),
+        "prepend_rows": lambda: nc.prepend_rows(x, [], [nc.tensor(np.zeros((2, 4)))], []),
+    }
+    with pytest.raises(nc.ShapeError, match=f"{op}: no segments"):
+        calls[op]()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gather_rows_of_unique_ids_assigns_the_scatter_add(dtype):
     r = rng(15)

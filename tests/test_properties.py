@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from vulnpool import checkpoint as ckpt
 from vulnpool import corpus, trainer
 from vulnpool.corpus import CodeSample, CorpusError, Language
-from vulnpool.trainer import TrainConfig
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, tiny_config
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -28,7 +27,7 @@ def trained_checkpoint(tmp_path_factory):
                                  seed=8)
     model = build_tiny_model(split.train + split.val + split.test, mode="pool_masked")
     run_dir = tmp_path_factory.mktemp("run")
-    trainer.train(model, split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0),
+    trainer.train(model, split, tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config(),
                   run_dir=run_dir)
     whole = (run_dir / "epoch_0.ckpt").read_bytes()
     (manifest_len,) = struct.unpack_from("<Q", whole, len(ckpt._MAGIC))
@@ -83,7 +82,7 @@ records = st.fixed_dictionaries({}, optional=plausible).flatmap(
 @given(records)
 def test_record_gives_typed_sample_or_raises_corpus_error(obj):
     try:
-        sample = corpus.record_to_sample(obj)
+        sample = corpus.record_to_sample(obj, "record")
     except CorpusError:
         return
     assert isinstance(sample, CodeSample)

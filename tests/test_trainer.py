@@ -9,9 +9,9 @@ from vulnpool import checkpoint as ckpt
 from vulnpool import cli, corpus, evaluate as ev, numcore as nc, tokenizer as tok, trainer
 from vulnpool.checkpoint import CheckpointError
 from vulnpool.model import MODES, VulnPoolModel
-from vulnpool.trainer import AdamState, TrainConfig, adam_step
+from vulnpool.trainer import AdamState, adam_step
 
-from conftest import build_tiny_model
+from conftest import build_tiny_model, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +35,25 @@ def flat_parameter(values):
     return buffer, nc.parameter(buffer[:])
 
 
+def step(flat, named, state, **kw):
+    """One `adam_step` with RunConfig's optimiser settings, `kw` changing any."""
+    config = tiny_config(**kw).train_config()
+    adam_step(flat, named, state, config.lr, config.beta1, config.beta2, config.eps,
+              config.grad_clip)
+
+
 def test_adam_zero_grads_leave_params_unchanged():
     buffer, p = flat_parameter([1.0, 2.0])
     p.grad = np.zeros(2)
     state = AdamState()
-    adam_step(buffer, [("p", p)], state, lr=0.1)
+    step(buffer, [("p", p)], state, lr=0.1)
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
 def test_adam_missing_grads_leave_params_unchanged():
     buffer, p = flat_parameter([3.0])
     state = AdamState()
-    adam_step(buffer, [("p", p)], state, lr=0.1)
+    step(buffer, [("p", p)], state, lr=0.1)
     assert np.array_equal(p.data, [3.0])
 
 
@@ -57,7 +64,8 @@ def test_adam_first_step_matches_hand_computation():
         buffer, p = flat_parameter([1.0])
         p.grad = np.array([g])
         state = AdamState()
-        adam_step(buffer, [("p", p)], state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(buffer, [("p", p)], state, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
+                  grad_clip=None)
         expected = 1.0 - 0.01 * g / (abs(g) + 1e-8)
         assert p.data[0] == pytest.approx(expected, rel=1e-12)
 
@@ -71,7 +79,7 @@ def test_adam_constant_grad_update_magnitude_approaches_lr():
     for _ in range(500):
         before = float(p.data[0])
         p.grad = np.array([3.7])
-        adam_step(buffer, [("p", p)], state, lr=lr)
+        step(buffer, [("p", p)], state, lr=lr)
         magnitudes.append(abs(float(p.data[0]) - before))
     assert magnitudes[-1] == pytest.approx(lr, rel=1e-6)
 
@@ -80,15 +88,16 @@ def test_adam_grad_clip_bounds_global_norm():
     buffer, p = flat_parameter(np.zeros(4))
     p.grad = np.full(4, 100.0)
     state = AdamState()
-    adam_step(buffer, [("p", p)], state, lr=0.1, grad_clip=1.0)
+    step(buffer, [("p", p)], state, lr=0.1, grad_clip=1.0)
     # post-clip gradient has norm 1; first-step update magnitude ~ lr
     assert np.abs(p.data).max() <= 0.1 + 1e-9
 
 
-def reference_adam(arrays, moments, grads, t, lr, grad_clip=None,
-                   beta1=0.9, beta2=0.999, eps=1e-8):
-    """The per-parameter update: each array with a gradient, on its own, in
-    the order of `grads`."""
+def reference_adam(arrays, moments, grads, t, config):
+    """The per-parameter update with the settings of the TrainConfig `config`:
+    each array with a gradient, on its own, in the order of `grads`."""
+    lr, beta1, beta2, eps, grad_clip = (config.lr, config.beta1, config.beta2, config.eps,
+                                        config.grad_clip)
     present = [(name, g) for name, g in grads.items() if g is not None]
     if grad_clip is not None:
         total = math.sqrt(sum(float((g**2).sum()) for _, g in present))
@@ -119,6 +128,7 @@ def test_flat_adam_equals_the_per_parameter_update(small_split, grad_clip):
     arrays = {name: p.data.copy() for name, p in named}
     moments = {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in named}
     state = AdamState()
+    config = tiny_config(lr=1e-2, grad_clip=grad_clip).train_config()
     idle = {"pool.P.1", "pool.P.3", "pool.k.1"}  # no gradient in any step
     r = np.random.default_rng(21)
     for t in range(1, 6):
@@ -129,8 +139,8 @@ def test_flat_adam_equals_the_per_parameter_update(small_split, grad_clip):
             grads[name] = (r.normal(0.0, 0.01, p.data.shape).astype(np.float32)
                            if got else None)
             p.grad = grads[name]
-        adam_step(model.flat, named, state, lr=1e-2, grad_clip=grad_clip)
-        reference_adam(arrays, moments, grads, t, lr=1e-2, grad_clip=grad_clip)
+        step(model.flat, named, state, lr=1e-2, grad_clip=grad_clip)
+        reference_adam(arrays, moments, grads, t, config)
         got_moments = moments_by_name(state, named)
         for name, p in named:
             assert np.array_equal(p.data, arrays[name]), (t, name)
@@ -159,7 +169,7 @@ def test_every_parameter_is_a_view_of_the_flat_buffer(small_split, tmp_path):
         model.load_params({n: a.astype(dtype) for n, a in arrays.items()})
         check(model, dtype)
         check(model.copy(), dtype)
-        trainer.save_checkpoint(model, AdamState(), tmp_path / "m.ckpt")
+        trainer.save_checkpoint(model, AdamState(), tmp_path / "m.ckpt", epochs_done=0)
         check(trainer.load_checkpoint(tmp_path / "m.ckpt", model.vocab)[0], dtype)
     named = model.parameters()
     for _, p in named:
@@ -167,7 +177,7 @@ def test_every_parameter_is_a_view_of_the_flat_buffer(small_split, tmp_path):
     for params in (named[1:], named[:1] + named, [(n, nc.parameter(p.data.copy()))
                                                   for n, p in named]):
         with pytest.raises(ValueError, match="cover the flat buffer"):
-            adam_step(model.flat, params, AdamState(), lr=1e-3)
+            step(model.flat, params, AdamState(), lr=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +186,14 @@ def test_every_parameter_is_a_view_of_the_flat_buffer(small_split, tmp_path):
 def test_train_lr_zero_keeps_params_bitwise(small_split):
     model = fresh_model(small_split)
     before = model.snapshot_params()
-    trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, lr=0.0, seed=0))
+    trainer.train(model, small_split, tiny_config(epochs=1, batch_size=8, lr=0.0).train_config())
     after = model.snapshot_params()
     for name in before:
         assert np.array_equal(before[name], after[name]), name
 
 
 def test_train_fixed_seed_reproduces_history(small_split):
-    config = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5)
+    config = tiny_config(epochs=2, batch_size=8, lr=1e-3, seed=5).train_config()
     _, h1 = trainer.train(fresh_model(small_split), small_split, config)
     _, h2 = trainer.train(fresh_model(small_split), small_split, config)
     assert h1.initial_train_loss == h2.initial_train_loss
@@ -195,7 +205,7 @@ def test_train_loss_decreases(small_split):
     # suite; this fixture corpus is tiny, so allow the best epoch to count
     model = fresh_model(small_split)
     _, history = trainer.train(
-        model, small_split, TrainConfig(epochs=10, batch_size=8, lr=1e-3, seed=0)
+        model, small_split, tiny_config(epochs=10, batch_size=8, lr=1e-3).train_config()
     )
     best = min(e.train_loss for e in history.epochs)
     assert best <= 0.5 * history.initial_train_loss
@@ -204,7 +214,7 @@ def test_train_loss_decreases(small_split):
 def test_best_model_is_validation_argmax(small_split):
     model = fresh_model(small_split)
     best, history = trainer.train(
-        model, small_split, TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=1)
+        model, small_split, tiny_config(epochs=3, batch_size=8, lr=1e-3, seed=1).train_config()
     )
     f1s = [e.val_f1 for e in history.epochs]
     expected_epoch = f1s.index(max(f1s))  # earliest on ties
@@ -214,7 +224,7 @@ def test_best_model_is_validation_argmax(small_split):
 def test_every_parameter_touched_each_epoch_in_query_mode(small_split):
     model = fresh_model(small_split, mode="pool_query")
     _, history = trainer.train(
-        model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=2)
+        model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3, seed=2).train_config()
     )
     # pool matrices and keys beyond the selected ones may idle in query mode,
     # but the union of touched parameters must cover the encoder, embeddings,
@@ -225,7 +235,7 @@ def test_every_parameter_touched_each_epoch_in_query_mode(small_split):
 def test_masked_mode_touches_every_language_parameter(small_split):
     model = fresh_model(small_split, mode="pool_masked")
     _, history = trainer.train(
-        model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=2)
+        model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3, seed=2).train_config()
     )
     assert history.epochs[0].params_touched == len(model.parameters())
 
@@ -233,7 +243,7 @@ def test_masked_mode_touches_every_language_parameter(small_split):
 def test_selection_counts_recorded_per_language(small_split):
     model = fresh_model(small_split, mode="pool_masked")
     _, history = trainer.train(
-        model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=3)
+        model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3, seed=3).train_config()
     )
     counts = history.epochs[0].selection_counts
     assert set(counts) == {lang.tag for lang in corpus.Language}
@@ -246,7 +256,7 @@ def test_divergence_aborts_with_diagnostics(small_split, tmp_path):
     model = fresh_model(small_split)
     model.classifier_w.data[...] = float("nan")
     with pytest.raises(trainer.TrainingDivergedError) as info:
-        trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, seed=0),
+        trainer.train(model, small_split, tiny_config(epochs=1, batch_size=8).train_config(),
                       run_dir=tmp_path / "run")
     assert info.value.epoch == 0
     assert info.value.sample_ids
@@ -271,7 +281,7 @@ def test_no_batch_graph_outlives_its_batch(monkeypatch):
     gc.collect()
     monkeypatch.setattr(VulnPoolModel, "forward", counting("forward", VulnPoolModel.forward))
     monkeypatch.setattr(ev, "evaluate_model", counting("evaluate_model", ev.evaluate_model))
-    trainer.train(model, split, TrainConfig(epochs=1, batch_size=32, lr=1e-3, seed=0))
+    trainer.train(model, split, tiny_config(epochs=1, batch_size=32, lr=1e-3).train_config())
     assert len(live["forward"]) > 60 and len(live["evaluate_model"]) == 1
     assert max(live["forward"]) == 0 and live["evaluate_model"] == [0]
 
@@ -280,7 +290,7 @@ def test_empty_training_split_rejected(small_split):
     model = fresh_model(small_split)
     empty = corpus.DatasetSplit([], small_split.val, small_split.test)
     with pytest.raises(ValueError, match="empty"):
-        trainer.train(model, empty, TrainConfig(epochs=1, seed=0))
+        trainer.train(model, empty, tiny_config(epochs=1).train_config())
 
 
 def test_history_line_is_on_disk_before_a_later_save_fails(small_split, tmp_path,
@@ -288,7 +298,7 @@ def test_history_line_is_on_disk_before_a_later_save_fails(small_split, tmp_path
     save, fsync = trainer.save_checkpoint, trainer.os.fsync
     synced = []
 
-    def failing_save(model, state, path, epochs_done=0):
+    def failing_save(model, state, path, epochs_done):
         if str(path).endswith("epoch_1.ckpt"):
             raise OSError("disk full")
         save(model, state, path, epochs_done)
@@ -297,7 +307,7 @@ def test_history_line_is_on_disk_before_a_later_save_fails(small_split, tmp_path
     monkeypatch.setattr(trainer.os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
     with pytest.raises(OSError, match="disk full"):
         trainer.train(fresh_model(small_split), small_split,
-                      TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=0), run_dir=tmp_path)
+                      tiny_config(epochs=3, batch_size=8, lr=1e-3).train_config(), run_dir=tmp_path)
     (line,) = (tmp_path / "history.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
     assert line.endswith("\n") and json.loads(line)["epoch"] == 0
     assert len(synced) == 1
@@ -305,7 +315,7 @@ def test_history_line_is_on_disk_before_a_later_save_fails(small_split, tmp_path
 
 
 def test_zeroed_key_is_reinitialised_and_recorded(small_split, tmp_path):
-    config = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0)
+    config = tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config()
     model = fresh_model(small_split)
     model.keys[2].data[...] = 0.0
     _, history = trainer.train(model, small_split, config, run_dir=tmp_path)
@@ -323,7 +333,7 @@ def test_zeroed_key_is_reinitialised_and_recorded(small_split, tmp_path):
 def test_checkpoint_save_load_save_identical_bytes(small_split, tmp_path):
     model = fresh_model(small_split)
     state = AdamState()
-    trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0),
+    trainer.train(model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config(),
                   adam_state=state)
     p1 = tmp_path / "a.ckpt"
     p2 = tmp_path / "b.ckpt"
@@ -334,11 +344,11 @@ def test_checkpoint_save_load_save_identical_bytes(small_split, tmp_path):
 
 
 def test_resumed_training_matches_continuous_run(small_split, tmp_path):
-    config4 = TrainConfig(epochs=4, batch_size=8, lr=1e-3, seed=9)
+    config4 = tiny_config(epochs=4, batch_size=8, lr=1e-3, seed=9).train_config()
     continuous = fresh_model(small_split, seed=9)
     trainer.train(continuous, small_split, config4)
 
-    config2 = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=9)
+    config2 = tiny_config(epochs=2, batch_size=8, lr=1e-3, seed=9).train_config()
     resumable = fresh_model(small_split, seed=9)
     state = AdamState()
     trainer.train(resumable, small_split, config2, adam_state=state)
@@ -358,7 +368,7 @@ def test_resumed_training_matches_continuous_run(small_split, tmp_path):
 def test_load_checkpoint_wrong_prompt_len_names_field(small_split, tmp_path):
     model = fresh_model(small_split)
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(model, AdamState(), path)
+    trainer.save_checkpoint(model, AdamState(), path, epochs_done=0)
     arrays, meta = ckpt.load_arrays(path)
     meta["model"]["prompt_len"] = 9
     ckpt.save_arrays(path, arrays, meta)
@@ -369,7 +379,7 @@ def test_load_checkpoint_wrong_prompt_len_names_field(small_split, tmp_path):
 def test_load_checkpoint_vocab_hash_mismatch(small_split, tmp_path):
     model = fresh_model(small_split)
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(model, AdamState(), path)
+    trainer.save_checkpoint(model, AdamState(), path, epochs_done=0)
     other_vocab = tok.build_vocab(["completely different tokens"], max_size=16)
     with pytest.raises(CheckpointError, match="vocabulary hash"):
         trainer.load_checkpoint(path, other_vocab)
@@ -386,10 +396,10 @@ def test_load_checkpoint_version_mismatch(tmp_path):
 def test_one_training_step_stays_float32(small_split, tmp_path, mode):
     # dropout on and two keys per query in pool_query, so every op of a
     # training step runs; no float64 array may appear anywhere
-    model = build_tiny_model(small_split.train, mode=mode, dropout_rate=0.2,
+    model = build_tiny_model(small_split.train, mode=mode, dropout=0.2,
                              top_k=2 if mode == "pool_query" else 1)
     batch = small_split.train[:8]
-    out = model.forward(batch, train_mode=True)
+    out = model.forward(batch, train_mode=True, seqs=model.tokenize(batch))
     loss = model.loss(out.logits, [s.label for s in batch], out.phi)
     nodes, stack = {}, [loss]
     while stack:
@@ -414,12 +424,12 @@ def test_one_training_step_stays_float32(small_split, tmp_path, mode):
     nc.backward(loss)
     assert grad_dtypes == {np.dtype(np.float32)}
     state = AdamState()
-    adam_step(model.flat, model.parameters(), state, lr=1e-3)
+    step(model.flat, model.parameters(), state, lr=1e-3)
     touched = [p for _, p in model.parameters() if p.grad is not None]
     assert touched and all(p.grad.dtype == np.float32 for p in touched)
     assert all(p.data.dtype == np.float32 for _, p in model.parameters())
     assert state.m.dtype == state.v.dtype == np.float32
-    trainer.save_checkpoint(model, state, tmp_path / "m.ckpt")
+    trainer.save_checkpoint(model, state, tmp_path / "m.ckpt", epochs_done=0)
     arrays, _ = ckpt.load_arrays(tmp_path / "m.ckpt")
     assert any(name.startswith("adam.") for name in arrays)
     assert {a.dtype.str for a in arrays.values()} == {"<f4"}
@@ -431,7 +441,7 @@ def test_float64_checkpoint_round_trip_keeps_float64(small_split, tmp_path):
     model = fresh_model(small_split)
     model.load_params({n: a.astype(np.float64) for n, a in model.snapshot_params().items()})
     state = AdamState()
-    trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0),
+    trainer.train(model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config(),
                   adam_state=state)
     assert all(p.data.dtype == np.float64 for _, p in model.parameters())
     path = tmp_path / "f8.ckpt"
@@ -458,9 +468,9 @@ def test_load_checkpoint_rejects_moments_that_fit_no_parameter(small_split, tmp_
     for _, p in model.parameters():
         p.grad = np.ones_like(p.data)
     state = AdamState()
-    adam_step(model.flat, model.parameters(), state, lr=1e-3)
+    step(model.flat, model.parameters(), state, lr=1e-3)
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(model, state, path)
+    trainer.save_checkpoint(model, state, path, epochs_done=0)
     arrays, meta = ckpt.load_arrays(path)
     edit(arrays)
     ckpt.save_arrays(path, arrays, meta)
@@ -477,7 +487,7 @@ def test_load_checkpoint_rejects_moments_that_fit_no_parameter(small_split, tmp_
 def test_load_checkpoint_rejects_mixed_or_integer_dtypes(small_split, tmp_path, edit, found):
     model = fresh_model(small_split)
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(model, AdamState(), path)
+    trainer.save_checkpoint(model, AdamState(), path, epochs_done=0)
     arrays, meta = ckpt.load_arrays(path)
     edit(arrays)
     ckpt.save_arrays(path, arrays, meta)
@@ -487,16 +497,16 @@ def test_load_checkpoint_rejects_mixed_or_integer_dtypes(small_split, tmp_path, 
 
 def test_checkpoint_restores_predictions(small_split, tmp_path):
     model = fresh_model(small_split)
-    trainer.train(model, small_split, TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0))
+    trainer.train(model, small_split, tiny_config(epochs=1, batch_size=8, lr=1e-3).train_config())
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(model, None, path)
+    trainer.save_checkpoint(model, None, path, epochs_done=0)
     loaded, _, _ = trainer.load_checkpoint(path, model.vocab)
     for s in small_split.test:
         assert np.array_equal(model.predict(s).logits, loaded.predict(s).logits)
 
 
 def test_each_split_is_tokenized_once_per_run(small_split, monkeypatch, tmp_path):
-    config = TrainConfig(epochs=3, batch_size=4, lr=1e-3, seed=0)
+    config = tiny_config(epochs=3, batch_size=4, lr=1e-3).train_config()
     encode, forward, evaluate = tok.encode, VulnPoolModel.forward, ev.evaluate_model
     calls = []
     monkeypatch.setattr(tok, "encode", lambda *a, **kw: calls.append(1) or encode(*a, **kw))
@@ -507,8 +517,8 @@ def test_each_split_is_tokenized_once_per_run(small_split, monkeypatch, tmp_path
 
     # the same run tokenizing every batch and every validation pass anew
     monkeypatch.setattr(VulnPoolModel, "forward",
-                        lambda self, samples, train_mode=False, seqs=None:
-                        forward(self, samples, train_mode))
+                        lambda self, samples, seqs, train_mode=False:
+                        forward(self, samples, self.tokenize(samples), train_mode))
     monkeypatch.setattr(ev, "evaluate_model", lambda model, samples, seqs=None:
                         evaluate(model, samples))
     _, each = trainer.train(fresh_model(small_split), small_split, config,
