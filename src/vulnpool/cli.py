@@ -92,8 +92,7 @@ def cmd_preprocess(args) -> int:
     for s in samples:
         code = corpus.strip_comments(s.code, s.language)
         if code.strip():
-            stripped.append(corpus.CodeSample(s.id, s.language, code, s.label,
-                                              cwe=s.cwe, cve=s.cve, split=s.split))
+            stripped.append(dataclasses.replace(s, code=code))
         else:
             empty.append(s)
 
@@ -165,10 +164,11 @@ def cmd_train(args) -> int:
 def _write_reports(run_dir, report, predictions, samples) -> list:
     """Write metrics.jsonl and metrics.txt; return the per-language and
     per-CWE breakdowns they hold."""
-    labels = [s.label for s in samples]
-    breakdowns = [ev.breakdown(predictions, labels, samples, by=by) for by in ("language", "cwe")]
+    predicted, labels = [p.label for p in predictions], [s.label for s in samples]
+    breakdowns = [ev.breakdown(predicted, labels, samples, by=by) for by in ("language", "cwe")]
     with open(os.path.join(run_dir, "metrics.jsonl"), "w", encoding="utf-8") as f:
-        f.write(json.dumps({"scope": "overall", **report.to_record()}, sort_keys=True) + "\n")
+        f.write(json.dumps({"scope": "overall", **dataclasses.asdict(report)}, sort_keys=True)
+                + "\n")
         for bd in breakdowns:
             f.write(json.dumps({"scope": bd.by, **bd.to_record()}, sort_keys=True) + "\n")
     with open(os.path.join(run_dir, "metrics.txt"), "w", encoding="utf-8") as f:
@@ -249,10 +249,8 @@ def cmd_report(args) -> int:
                 if missing:
                     raise CorpusError(f"{history_path}: line {lineno}: not an epoch record: "
                                       f"no number in {', '.join(missing)}")
-                rows.append([
-                    rec["epoch"], f"{rec['train_loss']:.4f}", f"{100 * rec['val_recall']:.2f}%",
-                    f"{100 * rec['val_precision']:.2f}%", f"{100 * rec['val_f1']:.2f}%",
-                ])
+                rows.append([rec["epoch"], f"{rec['train_loss']:.4f}", ev.pct(rec["val_recall"]),
+                             ev.pct(rec["val_precision"]), ev.pct(rec["val_f1"])])
         print(ev.render_rows(["Epoch", "Train loss", "Val Recall", "Val Precision", "Val F1"],
                              rows))
     metrics_path = os.path.join(run_dir, "metrics.txt")

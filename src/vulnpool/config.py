@@ -16,10 +16,10 @@ import os
 import typing
 from dataclasses import dataclass
 
-from .corpus import LANGUAGES
+from .corpus import LANGUAGES, check_synthetic_settings
 from .encoder import EncoderConfig
 from .model import ModelConfig, VulnPoolModel
-from .tokenizer import Vocabulary
+from .tokenizer import Vocabulary, check_vocab_size
 from .trainer import TrainConfig
 
 DATA_ROOT_ENV = "VULNPOOL_DATA"
@@ -82,8 +82,9 @@ class RunConfig:
     def validate(self):
         """Check every setting; raise ConfigError naming the first bad one.
 
-        Each check lives once: the component configs own the checks on their
-        own fields, and this pass adds only what no component owns."""
+        Each check lives once: the component configs, the synthesizer and the
+        vocabulary builder own the checks on their own settings, and this pass
+        adds only what none of them owns."""
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             parts = value if isinstance(value, tuple) else (value,)
@@ -95,6 +96,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be <= 64, got {value}")
         try:
             self.model_config(), self.encoder_config(), self.train_config()
+            check_synthetic_settings(self.n_per_language, self.vuln_rate)
+            check_vocab_size(self.vocab_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if len(self.ratios) != 3 or abs(sum(self.ratios) - 1.0) > 1e-9:

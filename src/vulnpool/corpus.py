@@ -137,13 +137,10 @@ def record_to_sample(obj: dict, where: str) -> CodeSample:
 
 
 def sample_to_record(s: CodeSample) -> dict:
-    rec = {"id": s.id, "language": s.language.tag, "code": s.code, "label": s.label}
-    if s.cwe is not None:
-        rec["cwe"] = s.cwe
-    if s.cve is not None:
-        rec["cve"] = s.cve
-    if s.split is not None:
-        rec["split"] = s.split
+    """The sample's fields in declaration order, without the unset ones,
+    with the language as its tag."""
+    rec = {key: value for key, value in dataclasses.asdict(s).items() if value is not None}
+    rec["language"] = s.language.tag
     return rec
 
 
@@ -443,13 +440,17 @@ def _stable_hash(name: str) -> int:
     return h
 
 
-def generate_synthetic(n_per_language: int, vuln_rate: float, seed: int) -> list[CodeSample]:
-    """Emit deterministic function skeletons for all seven languages; the
-    vulnerable ones contain a planted language-appropriate sink call."""
+def check_synthetic_settings(n_per_language: int, vuln_rate: float):
     if n_per_language < 2:
         raise CorpusError(f"n_per_language must be >= 2, got {n_per_language}")
     if not 0.0 < vuln_rate < 1.0:
         raise CorpusError(f"vuln_rate must lie in (0, 1), got {vuln_rate}")
+
+
+def generate_synthetic(n_per_language: int, vuln_rate: float, seed: int) -> list[CodeSample]:
+    """Emit deterministic function skeletons for all seven languages; the
+    vulnerable ones contain a planted language-appropriate sink call."""
+    check_synthetic_settings(n_per_language, vuln_rate)
     samples = []
     for language in LANGUAGES:
         rng = random.Random((seed * 1_000_003 + _stable_hash(language.name)) & 0x7FFFFFFF)
@@ -470,6 +471,9 @@ def generate_synthetic(n_per_language: int, vuln_rate: float, seed: int) -> list
 # ---------------------------------------------------------------------------
 # statistics
 
+_STATS_COLUMNS = (*SPLIT_NAMES, "vulnerable", "non_vulnerable", "total")
+
+
 @dataclass
 class CorpusStats:
     """Counts per language x split x label."""
@@ -484,64 +488,21 @@ class CorpusStats:
                 counts[(s.language, name, s.label)] += 1
         return cls(counts)
 
-    def language_total(self, language: Language) -> int:
-        return sum(n for (lang, _, _), n in self.counts.items() if lang is language)
-
-    def split_total(self, split_name: str) -> int:
-        return sum(n for (_, name, _), n in self.counts.items() if name == split_name)
-
-    def label_total(self, label: int) -> int:
-        return sum(n for (_, _, lab), n in self.counts.items() if lab == label)
-
-    def cell(self, language: Language, split_name: str) -> int:
-        return sum(
-            n
-            for (lang, name, _), n in self.counts.items()
-            if lang is language and name == split_name
-        )
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
     def to_record(self) -> dict:
-        per_language = {}
-        for lang in LANGUAGES:
-            per_language[lang.tag] = {
-                "train": self.cell(lang, "train"),
-                "val": self.cell(lang, "val"),
-                "test": self.cell(lang, "test"),
-                "vulnerable": sum(
-                    n for (lg, _, lab), n in self.counts.items() if lg is lang and lab == 1
-                ),
-                "non_vulnerable": sum(
-                    n for (lg, _, lab), n in self.counts.items() if lg is lang and lab == 0
-                ),
-                "total": self.language_total(lang),
-            }
-        return {
-            "per_language": per_language,
-            "train": self.split_total("train"),
-            "val": self.split_total("val"),
-            "test": self.split_total("test"),
-            "vulnerable": self.label_total(1),
-            "non_vulnerable": self.label_total(0),
-            "total": self.total,
-        }
+        """Per-language and overall counts, one column per `_STATS_COLUMNS` key."""
+        per_language = {lang.tag: dict.fromkeys(_STATS_COLUMNS, 0) for lang in LANGUAGES}
+        overall = dict.fromkeys(_STATS_COLUMNS, 0)
+        for (lang, name, label), n in self.counts.items():
+            for row in (per_language[lang.tag], overall):
+                row[name] += n
+                row["vulnerable" if label == 1 else "non_vulnerable"] += n
+                row["total"] += n
+        return {"per_language": per_language, **overall}
 
     def render(self) -> str:
         rec = self.to_record()
         header = ["Language", "Train", "Val", "Test", "Vul", "Non-Vul", "Total"]
-        rows = []
-        ordered = sorted(LANGUAGES, key=lambda lg: (self.language_total(lg), lg.tag))
-        for lang in ordered:
-            r = rec["per_language"][lang.tag]
-            rows.append(
-                [lang.tag, r["train"], r["val"], r["test"], r["vulnerable"],
-                 r["non_vulnerable"], r["total"]]
-            )
-        rows.append(
-            ["Total", rec["train"], rec["val"], rec["test"], rec["vulnerable"],
-             rec["non_vulnerable"], rec["total"]]
-        )
+        ordered = sorted(rec["per_language"].items(), key=lambda kv: (kv[1]["total"], kv[0]))
+        rows = [[tag, *row.values()] for tag, row in ordered]
+        rows.append(["Total", *(rec[key] for key in _STATS_COLUMNS)])
         return render_rows(header, rows)

@@ -3,7 +3,7 @@ query/key vector export for downstream visualization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 # default shortlist of high-impact CWE categories (2024 CWE Top-25 scoring)
@@ -61,35 +61,20 @@ class MetricsReport:
             flags=tuple(flags),
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
 
-    def to_record(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "recall": self.recall, "precision": self.precision, "f1": self.f1,
-            "flags": list(self.flags),
-        }
-
-
-def _predicted_label(p) -> int:
-    return p.label if hasattr(p, "label") else int(p)
-
-
-def compute_metrics(predictions, labels) -> MetricsReport:
-    """Confusion counts and ratios with class 1 (vulnerable) as positive."""
-    predictions = [_predicted_label(p) for p in predictions]
+def compute_metrics(predicted, labels) -> MetricsReport:
+    """Confusion counts and ratios of the predicted labels, with class 1
+    (vulnerable) as positive."""
     labels = [int(y) for y in labels]
-    if len(predictions) != len(labels):
+    if len(predicted) != len(labels):
         raise MetricsError(
-            f"length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
+            f"length mismatch: {len(predicted)} predictions vs {len(labels)} labels"
         )
     for y in labels:
         if y not in (0, 1):
             raise MetricsError(f"labels must be binary, got {y}")
     tp = fp = fn = tn = 0
-    for pred, y in zip(predictions, labels):
+    for pred, y in zip(predicted, labels):
         if y == 1:
             if pred == 1:
                 tp += 1
@@ -103,43 +88,37 @@ def compute_metrics(predictions, labels) -> MetricsReport:
     return MetricsReport.from_counts(tp, fp, fn, tn)
 
 
-@dataclass
-class GroupMetrics:
-    report: MetricsReport
-    n_samples: int
+def _n_samples(report: MetricsReport) -> int:
+    return report.tp + report.fp + report.fn + report.tn
 
 
 @dataclass
 class BreakdownReport:
     by: str
-    groups: dict[str, GroupMetrics]
+    groups: dict[str, MetricsReport]
     macro: dict | None  # unweighted averages over the CWE shortlist
 
     def to_record(self) -> dict:
         rec = {
             "by": self.by,
-            "groups": {
-                key: {"n": gm.n_samples, **gm.report.to_record()}
-                for key, gm in self.groups.items()
-            },
+            "groups": {key: {"n": _n_samples(r), **asdict(r)} for key, r in self.groups.items()},
         }
         if self.macro is not None:
             rec["macro"] = self.macro
         return rec
 
 
-def breakdown(predictions, labels, samples, by: str) -> BreakdownReport:
-    """Per-group metrics keyed by language tag or CWE id.
+def breakdown(predicted, labels, samples, by: str) -> BreakdownReport:
+    """Per-group metrics of the predicted labels, keyed by language tag or CWE id.
 
     Samples without a CWE group under "unknown". For CWE breakdowns a
     macro (unweighted) average over the shortlist identifiers is attached.
     """
     if by not in ("language", "cwe"):
         raise MetricsError(f"breakdown key must be 'language' or 'cwe', got {by!r}")
-    predictions = [_predicted_label(p) for p in predictions]
-    if not (len(predictions) == len(labels) == len(samples)):
+    if not (len(predicted) == len(labels) == len(samples)):
         raise MetricsError(
-            f"length mismatch: {len(predictions)} predictions, "
+            f"length mismatch: {len(predicted)} predictions, "
             f"{len(labels)} labels, {len(samples)} samples"
         )
     grouped: dict[str, list[int]] = {}
@@ -150,12 +129,11 @@ def breakdown(predictions, labels, samples, by: str) -> BreakdownReport:
     groups = {}
     for key in sorted(grouped):
         idxs = grouped[key]
-        report = compute_metrics([predictions[i] for i in idxs], [labels[i] for i in idxs])
-        groups[key] = GroupMetrics(report=report, n_samples=len(idxs))
+        groups[key] = compute_metrics([predicted[i] for i in idxs], [labels[i] for i in idxs])
 
     macro = None
     if by == "cwe":
-        listed = [groups[c].report for c in DEFAULT_TOP_CWES if c in groups]
+        listed = [groups[c] for c in DEFAULT_TOP_CWES if c in groups]
         if listed:
             macro = {
                 "cwes": [c for c in DEFAULT_TOP_CWES if c in groups],
@@ -179,14 +157,14 @@ def render_rows(header, rows) -> str:
     return "\n".join([fmt(header), fmt(["-" * w for w in widths])] + [fmt(r) for r in rows])
 
 
-def _pct(x: float) -> str:
+def pct(x: float) -> str:
     return f"{100.0 * x:.2f}%"
 
 
 def render_metrics(report: MetricsReport, name: str = "overall") -> str:
     header = ["Method", "Recall", "Precision", "F1-score"]
     return render_rows(
-        header, [[name, _pct(report.recall), _pct(report.precision), _pct(report.f1)]]
+        header, [[name, pct(report.recall), pct(report.precision), pct(report.f1)]]
     )
 
 
@@ -194,14 +172,13 @@ def render_breakdown(report: BreakdownReport) -> str:
     key_title = "Language" if report.by == "language" else "CWE"
     header = [key_title, "Recall", "Precision", "F1-score", "Samples"]
     rows = [
-        [key, _pct(gm.report.recall), _pct(gm.report.precision), _pct(gm.report.f1),
-         gm.n_samples]
-        for key, gm in report.groups.items()
+        [key, pct(r.recall), pct(r.precision), pct(r.f1), _n_samples(r)]
+        for key, r in report.groups.items()
     ]
     if report.macro is not None:
         rows.append(
-            ["Average", _pct(report.macro["recall"]), _pct(report.macro["precision"]),
-             _pct(report.macro["f1"]), sum(gm.n_samples for gm in report.groups.values())]
+            ["Average", pct(report.macro["recall"]), pct(report.macro["precision"]),
+             pct(report.macro["f1"]), sum(map(_n_samples, report.groups.values()))]
         )
     return render_rows(header, rows)
 
@@ -242,5 +219,5 @@ def evaluate_model(model, samples, seqs=None):
     """Predict every sample and return (report, predictions). `seqs`, the
     samples' ids from `model.tokenize`, saves tokenizing again."""
     predictions = model.predict_many(samples, seqs)
-    report = compute_metrics(predictions, [s.label for s in samples])
+    report = compute_metrics([p.label for p in predictions], [s.label for s in samples])
     return report, predictions

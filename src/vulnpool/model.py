@@ -183,7 +183,7 @@ class VulnPoolModel:
 
     def tokenize(self, samples) -> list[list[int]]:
         """Each sample's framed, truncated token ids."""
-        return [tok.encode(s.code, self.vocab, self.config.max_tokens).ids for s in samples]
+        return [tok.encode(s.code, self.vocab, self.config.max_tokens) for s in samples]
 
     def embed(self, seqs) -> tuple[Tensor, list[tuple[int, int]]]:
         """Embed the token id lists `seqs` back to back: the packed (rows, d)

@@ -49,18 +49,9 @@ class Vocabulary:
         return token in self.token_to_id
 
 
-@dataclass
-class TokenSequence:
-    """Token ids framed as [CLS] ... [EOS]."""
-
-    ids: list[int]
-
-    def __post_init__(self):
-        if len(self.ids) < 2:
-            raise TokenizerError(f"token sequence too short: {self.ids}")
-
-    def __len__(self) -> int:
-        return len(self.ids)
+def check_vocab_size(max_size: int):
+    if max_size < 8:
+        raise TokenizerError(f"max_size must be >= 8, got {max_size}")
 
 
 def build_vocab(corpus, max_size: int) -> Vocabulary:
@@ -70,8 +61,7 @@ def build_vocab(corpus, max_size: int) -> Vocabulary:
     strings. Ties in frequency break lexicographically; id assignment is a
     pure function of (corpus, max_size).
     """
-    if max_size < 8:
-        raise TokenizerError(f"max_size must be >= 8, got {max_size}")
+    check_vocab_size(max_size)
     texts = [getattr(s, "code", s) for s in corpus]
     if not texts:
         raise TokenizerError("cannot build a vocabulary from an empty corpus")
@@ -87,14 +77,15 @@ def build_vocab(corpus, max_size: int) -> Vocabulary:
     )
 
 
-def encode(code: str, vocab: Vocabulary, max_tokens: int) -> TokenSequence:
-    """Encode text as [CLS] + body + [EOS], truncating the body from the right."""
+def encode(code: str, vocab: Vocabulary, max_tokens: int) -> list[int]:
+    """Encode text as the ids of [CLS] + body + [EOS], truncating the body
+    from the right."""
     if max_tokens < 2:
         raise TokenizerError(f"max_tokens must be >= 2 to hold the [CLS]/[EOS] frame, "
                              f"got {max_tokens}")
     lookup, unk = vocab.token_to_id.get, vocab.unk_id
     body = [lookup(tok, unk) for tok in tokenize(code)[: max_tokens - 2]]
-    return TokenSequence([vocab.cls_id] + body + [vocab.eos_id])
+    return [vocab.cls_id] + body + [vocab.eos_id]
 
 
 def token_length(code: str) -> int:

@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from . import evaluate as ev
 from . import numcore as nc
 from . import pool as pl
-from .corpus import DatasetSplit
+from .corpus import CorpusError, DatasetSplit
 from .model import MODES, ModelConfig, VulnPoolModel, parameter_views
 from .encoder import EncoderConfig
 from .tokenizer import Vocabulary
@@ -74,20 +74,6 @@ class EpochRecord:
     selection_counts: dict[str, dict[int, int]]
     params_touched: int
     keys_reinitialised: list[int]  # zero keys re-drawn, in order
-
-    def to_record(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_recall": self.val_recall,
-            "val_precision": self.val_precision,
-            "val_f1": self.val_f1,
-            "selection_counts": {
-                lang: dict(counts) for lang, counts in self.selection_counts.items()
-            },
-            "params_touched": self.params_touched,
-            "keys_reinitialised": list(self.keys_reinitialised),
-        }
 
 
 @dataclass
@@ -214,7 +200,7 @@ def train(
     ties resolving to the earlier epoch. Each split is tokenized once.
     """
     if not split.train:
-        raise ValueError("training split is empty")
+        raise CorpusError("training split is empty")
     state = adam_state if adam_state is not None else AdamState()
     history = TrainHistory()
     reinit_rng = np.random.default_rng([config.seed, 0xF00D])
@@ -285,7 +271,7 @@ def train(
                             epochs_done=epoch + 1)
             # one write per line, on disk before the next epoch starts
             with open(os.path.join(run_dir, "history.jsonl"), "a", encoding="utf-8") as f:
-                f.write(json.dumps(record.to_record(), sort_keys=True) + "\n")
+                f.write(json.dumps(asdict(record), sort_keys=True) + "\n")
                 f.flush()
                 os.fsync(f.fileno())
 
@@ -417,30 +403,15 @@ class SweepResult:
 
     def render(self) -> str:
         titles = {"lp": "L_p", "lambda": "lambda", "topk": "K", "mpl": "Matrices/lang"}
-        if self.axis == "mode":
-            header = ["Method", "Recall", "Precision", "F1-score"]
-            rows = [
-                [r.mode, f"{100 * r.recall:.2f}%", f"{100 * r.precision:.2f}%",
-                 f"{100 * r.f1:.2f}%"]
-                for r in self.rows
-            ]
-        else:
-            header = ["Method", titles.get(self.axis, self.axis), "Recall", "Precision",
-                      "F1-score"]
-            rows = [
-                [r.mode, r.value, f"{100 * r.recall:.2f}%", f"{100 * r.precision:.2f}%",
-                 f"{100 * r.f1:.2f}%"]
-                for r in self.rows
-            ]
-        return ev.render_rows(header, rows)
+        table = [["Method", titles.get(self.axis, self.axis), "Recall", "Precision", "F1-score"]]
+        table += [[r.mode, r.value, ev.pct(r.recall), ev.pct(r.precision), ev.pct(r.f1)]
+                  for r in self.rows]
+        if self.axis == "mode":  # the value column would repeat the method
+            table = [row[:1] + row[2:] for row in table]
+        return ev.render_rows(table[0], table[1:])
 
     def to_records(self) -> list[dict]:
-        return [
-            {"axis": self.axis, "value": r.value, "mode": r.mode, "recall": r.recall,
-             "precision": r.precision, "f1": r.f1, "initial_loss": r.initial_loss,
-             "final_loss": r.final_loss}
-            for r in self.rows
-        ]
+        return [{"axis": self.axis, **asdict(r)} for r in self.rows]
 
 
 def sweep(split: DatasetSplit, vocab: Vocabulary, base_config, axis: str, log) -> SweepResult:

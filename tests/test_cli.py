@@ -5,7 +5,8 @@ import typing
 
 import pytest
 
-from vulnpool import cli, config as cfgmod
+from vulnpool import cli, config as cfgmod, corpus
+from vulnpool.corpus import Language
 from vulnpool.config import ConfigError, RunConfig, build_run_config
 
 
@@ -178,6 +179,31 @@ def test_preprocess_outputs(corpus_dir):
     assert meta["tokenizer"] == "word-boundary"
 
 
+def test_preprocess_changes_only_the_code(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    samples = corpus.generate_synthetic(4, 0.5, seed=2)
+    for i, s in enumerate(samples):
+        s.code = f"// header {i}\n{s.code}" if s.language is not Language.PYTHON else s.code
+        s.cwe = "CWE-79" if i % 2 else None
+        s.cve = f"CVE-2024-{i:04d}" if i % 3 else None
+        s.split = corpus.SPLIT_NAMES[i % 3]
+    samples.append(corpus.CodeSample("only-comment", Language.C, "/* nothing */", 0,
+                                     split="train"))
+    corpus.save_records(samples, raw)
+    out = tmp_path / "data"
+    assert run_cli("preprocess", "--data", str(raw), "--out", str(out)) == 0
+
+    by_id = {s.id: s for s in samples}
+    kept = [s for name in corpus.SPLIT_NAMES
+            for s in corpus.load_records(out / f"{name}.jsonl")]
+    assert sorted(s.id for s in kept) == sorted(set(by_id) - {"only-comment"})
+    for s in kept:
+        original = by_id[s.id]
+        assert s == dataclasses.replace(original, code=s.code), s.id
+        assert s.code == corpus.strip_comments(original.code, original.language), s.id
+    assert [s.id for s in corpus.load_records(out / "dropped.jsonl")] == ["only-comment"]
+
+
 def test_build_vocab_command(tmp_path):
     raw = tmp_path / "raw.jsonl"
     out = tmp_path / "vocab.txt"
@@ -260,6 +286,39 @@ def test_usage_error_exits_1():
     with pytest.raises(SystemExit) as info:
         run_cli("eval")  # missing required --run flag
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("command,flag,value,key", [
+    ("synth", "--n", "1", "n_per_language"),
+    ("synth", "--vuln-rate", "1.5", "vuln_rate"),
+    ("build-vocab", "--vocab-size", "4", "max_size"),
+    ("preprocess", "--vocab-size", "4", "max_size"),
+])
+def test_out_of_range_synthesis_and_vocabulary_settings_exit_1(command, flag, value, key,
+                                                               tmp_path, capsys):
+    raw = tmp_path / "raw.jsonl"
+    assert run_cli("synth", "--n", "4", "--out", str(raw)) == 0
+    capsys.readouterr()
+    assert run_cli(command, "--data", str(raw), "--out", str(tmp_path / "out"),
+                   flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"vulnpool: config error: {key} must") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("train_file", ["missing", "empty"])
+def test_empty_training_split_exits_2(command, train_file, corpus_dir, tmp_path, capsys):
+    if train_file == "missing":
+        (corpus_dir / "train.jsonl").unlink()
+    else:
+        (corpus_dir / "train.jsonl").write_text("")
+    capsys.readouterr()
+    extra = ["--axis", "mode"] if command == "sweep" else []
+    assert run_cli(command, "--data", str(corpus_dir), "--out", str(tmp_path / "run"),
+                   *extra, *TINY_TRAIN_FLAGS) == 2
+    err = capsys.readouterr().err
+    assert err == "vulnpool: data error: training split is empty\n"
 
 
 def test_missing_required_setting_exits_1(tmp_path):

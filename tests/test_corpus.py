@@ -322,24 +322,37 @@ def test_synthetic_colliding_samples_cover_both_labels():
 
 def test_stats_empty_split_all_zero():
     split = corpus.DatasetSplit([], [], [])
-    st = corpus.CorpusStats.from_split(split)
-    assert st.total == 0
-    assert st.split_total("train") == 0
+    rec = corpus.CorpusStats.from_split(split).to_record()
+    assert rec["total"] == 0
+    assert rec["train"] == 0
 
 
 def test_stats_synthetic_counts():
     samples = corpus.generate_synthetic(10, 0.5, seed=1)
     split = corpus.split_dataset(samples, seed=1)
-    st = corpus.CorpusStats.from_split(split)
-    assert st.total == 70
+    rec = corpus.CorpusStats.from_split(split).to_record()
+    assert rec["total"] == 70
     for language in Language:
-        assert st.language_total(language) == 10
+        assert rec["per_language"][language.tag]["total"] == 10
 
 
 def test_stats_totals_equal_cardinality():
     samples = corpus.generate_synthetic(13, 0.4, seed=3)
     split = corpus.split_dataset(samples, seed=3)
-    assert corpus.CorpusStats.from_split(split).total == len(samples)
+    assert corpus.CorpusStats.from_split(split).to_record()["total"] == len(samples)
+
+
+def test_stats_record_rows_add_up():
+    samples = corpus.generate_synthetic(13, 0.4, seed=3)
+    split = corpus.split_dataset(samples, seed=3)
+    rec = corpus.CorpusStats.from_split(split).to_record()
+    for row in [*rec["per_language"].values(), rec]:
+        assert row["train"] + row["val"] + row["test"] == row["total"]
+        assert row["vulnerable"] + row["non_vulnerable"] == row["total"]
+    for key in ("train", "val", "test", "vulnerable", "non_vulnerable", "total"):
+        assert sum(row[key] for row in rec["per_language"].values()) == rec[key]
+    assert rec["test"] == len(split.test)
+    assert rec["vulnerable"] == sum(s.label for s in samples)
 
 
 def test_stats_render_mentions_every_language():

@@ -73,11 +73,12 @@ def test_f1_is_harmonic_mean_of_reported_values():
         )
 
 
-def test_accepts_prediction_objects(small_corpus):
+def test_evaluate_model_counts_every_sample(small_corpus):
     model = build_tiny_model(small_corpus)
-    preds = model.predict_many(small_corpus)
-    report = ev.compute_metrics(preds, [s.label for s in small_corpus])
-    assert report.total == len(small_corpus)
+    report, predictions = ev.evaluate_model(model, small_corpus)
+    assert report.tp + report.fp + report.fn + report.tn == len(small_corpus)
+    assert report == ev.compute_metrics([p.label for p in predictions],
+                                        [s.label for s in small_corpus])
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +90,8 @@ def test_single_language_breakdown_equals_overall():
     labels = [s.label for s in samples]
     bd = ev.breakdown(preds, labels, samples, by="language")
     assert list(bd.groups) == ["Go"]
-    assert bd.groups["Go"].report == ev.compute_metrics(preds, labels)
-    assert bd.groups["Go"].n_samples == 10
+    assert bd.groups["Go"] == ev.compute_metrics(preds, labels)
+    assert bd.to_record()["groups"]["Go"]["n"] == 10
 
 
 def test_breakdown_group_counting_oracle():
@@ -104,10 +105,9 @@ def test_breakdown_group_counting_oracle():
     for language in langs:
         idxs = [i for i, s in enumerate(samples) if s.language is language]
         expected = ev.compute_metrics([preds[i] for i in idxs], [labels[i] for i in idxs])
-        got = bd.groups[language.tag]
-        assert got.n_samples == len(idxs)
-        assert got.report == expected
-    assert sum(gm.n_samples for gm in bd.groups.values()) == len(samples)
+        assert bd.groups[language.tag] == expected
+        assert bd.to_record()["groups"][language.tag]["n"] == len(idxs)
+    assert sum(g["n"] for g in bd.to_record()["groups"].values()) == len(samples)
 
 
 def test_breakdown_cwe_unknown_group_and_macro():
@@ -123,7 +123,7 @@ def test_breakdown_cwe_unknown_group_and_macro():
     assert bd.macro is not None
     assert bd.macro["cwes"] == ["CWE-79", "CWE-89"]
     # macro = unweighted mean over shortlist groups present
-    expected_f1 = (bd.groups["CWE-79"].report.f1 + bd.groups["CWE-89"].report.f1) / 2
+    expected_f1 = (bd.groups["CWE-79"].f1 + bd.groups["CWE-89"].f1) / 2
     assert bd.macro["f1"] == pytest.approx(expected_f1)
 
 

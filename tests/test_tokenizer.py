@@ -58,9 +58,7 @@ def test_sinks_in_vocabulary_at_4096():
 
 def test_encode_empty_body():
     vocab = small_vocab(["a b"])
-    seq = tok.encode("", vocab, MAX_TOKENS)
-    assert seq.ids == [vocab.cls_id, vocab.eos_id]
-    assert len(seq) == 2
+    assert tok.encode("", vocab, MAX_TOKENS) == [vocab.cls_id, vocab.eos_id]
 
 
 def test_encode_keeps_the_two_row_frame_at_any_budget():
@@ -68,8 +66,8 @@ def test_encode_keeps_the_two_row_frame_at_any_budget():
     # product is ever a one-row product
     vocab = small_vocab(["a b"])
     for max_tokens in (2, 3, 512):
-        assert len(tok.encode("", vocab, max_tokens).ids) == 2
-    assert tok.encode("a b a", vocab, 2).ids == [vocab.cls_id, vocab.eos_id]
+        assert len(tok.encode("", vocab, max_tokens)) == 2
+    assert tok.encode("a b a", vocab, 2) == [vocab.cls_id, vocab.eos_id]
     for max_tokens in (1, 0, -3):
         with pytest.raises(tok.TokenizerError, match="max_tokens"):
             tok.encode("a b a", vocab, max_tokens)
@@ -89,7 +87,7 @@ def test_encode_looks_up_only_the_tokens_it_keeps(n_tokens):
     vocab.token_to_id = Counting(vocab.token_to_id)
     text = " ".join(["a", "zz", "c", "b", "q"] * 6)
     text = " ".join(text.split()[:n_tokens])
-    ids = tok.encode(text, vocab, max_tokens).ids
+    ids = tok.encode(text, vocab, max_tokens)
     full = [dict.get(vocab.token_to_id, t, vocab.unk_id) for t in tok.tokenize(text)]
     assert ids == [vocab.cls_id] + full[: max_tokens - 2] + [vocab.eos_id]
     assert len(looked_up) == min(n_tokens, max_tokens - 2)
@@ -99,7 +97,7 @@ def test_encode_simple():
     vocab = small_vocab(["a b"])
     seq = tok.encode("a b", vocab, MAX_TOKENS)
     ids = vocab.token_to_id
-    assert seq.ids == [vocab.cls_id, ids["a"], ids["b"], vocab.eos_id]
+    assert seq == [vocab.cls_id, ids["a"], ids["b"], vocab.eos_id]
 
 
 def test_encode_truncates_from_right_keeping_frame():
@@ -107,14 +105,14 @@ def test_encode_truncates_from_right_keeping_frame():
     body = " ".join(["a"] * 600)
     seq = tok.encode(body, vocab, max_tokens=512)
     assert len(seq) == 512
-    assert seq.ids[0] == vocab.cls_id
-    assert seq.ids[-1] == vocab.eos_id
+    assert seq[0] == vocab.cls_id
+    assert seq[-1] == vocab.eos_id
 
 
 def test_encode_unknown_maps_to_unk():
     vocab = small_vocab(["a"])
     seq = tok.encode("zzz", vocab, MAX_TOKENS)
-    assert seq.ids[1] == vocab.unk_id
+    assert seq[1] == vocab.unk_id
 
 
 def test_round_trip_randomized_in_vocabulary_texts():
@@ -124,7 +122,7 @@ def test_round_trip_randomized_in_vocabulary_texts():
     for _ in range(1000):
         picked = [r.choice(words) for _ in range(r.randint(0, 20))]
         seq = tok.encode(" ".join(picked), vocab, MAX_TOKENS)
-        assert seq.ids == ([vocab.cls_id] + [vocab.token_to_id[w] for w in picked]
+        assert seq == ([vocab.cls_id] + [vocab.token_to_id[w] for w in picked]
                            + [vocab.eos_id])
 
 
@@ -134,8 +132,8 @@ def test_every_sequence_is_framed():
     for _ in range(200):
         text = " ".join(r.choice("abc") for _ in range(r.randint(0, 30)))
         seq = tok.encode(text, vocab, max_tokens=16)
-        assert seq.ids[0] == vocab.cls_id
-        assert seq.ids[-1] == vocab.eos_id
+        assert seq[0] == vocab.cls_id
+        assert seq[-1] == vocab.eos_id
         assert 2 <= len(seq) <= 16
 
 

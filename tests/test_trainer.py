@@ -197,7 +197,7 @@ def test_train_fixed_seed_reproduces_history(small_split):
     _, h1 = trainer.train(fresh_model(small_split), small_split, config)
     _, h2 = trainer.train(fresh_model(small_split), small_split, config)
     assert h1.initial_train_loss == h2.initial_train_loss
-    assert [e.to_record() for e in h1.epochs] == [e.to_record() for e in h2.epochs]
+    assert h1.epochs == h2.epochs
 
 
 def test_train_loss_decreases(small_split):
